@@ -7,10 +7,8 @@ All information quantities are in nats.
 
 from .bound import (
     BoundParams,
-    FRegion,
     LowerBoundResult,
     PBranch,
-    classify_F_k,
     condition_holds,
     in_P,
     lower_bound,
@@ -21,7 +19,9 @@ from .bound import (
 from .equivalence import (
     AlphaTriple,
     EquivalenceReport,
+    FRegion,
     alphas,
+    classify_F_k,
     construct_matching_scheme,
     g_fn,
     solve_a_star,

@@ -27,6 +27,7 @@ grid with deterministic first-occurrence tie-breaking.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -34,21 +35,19 @@ from enum import Enum
 import numpy as np
 import scipy.optimize
 
-from . import equivalence as _equivalence
 from .errors import DomainError, InfeasibleTargetsError, InvalidParamsError
 from .gaussmodel import SourceModel
-from .scheme import DistortionTriple, require_valid_targets
+from .scheme import DistortionTriple, central_precision, receiver_precision, require_valid_targets
 
 __all__ = [
     "BoundParams",
-    "FRegion",
     "PBranch",
     "LowerBoundResult",
     "in_F_k",
     "in_F",
     "r_fn",
+    "distortion_condition",
     "condition_holds",
-    "classify_F_k",
     "in_P",
     "project_to_P",
     "sup_sigma_z",
@@ -93,15 +92,6 @@ class BoundParams:
         raise InvalidParamsError(f"encoder index must be 1 or 2, got {k!r}")
 
 
-class FRegion(Enum):
-    """Sign-classification of an encoder triple by g at 0 and at the noise variance."""
-
-    F1 = "F_k1"
-    F2 = "F_k2"
-    F3 = "F_k3"
-    OUTSIDE = "not_in_F_k"
-
-
 class PBranch(Enum):
     P1 = "P1"
     P2 = "P2"
@@ -111,22 +101,19 @@ def in_F_k(sigma_n2: float, d1: float, d2: float, t: float, rtol: float = BOX_RT
     """Membership in encoder box: n e^{-2t} <= min(d1, d2) and max(d1, d2) <= n."""
     if not (d1 >= 0 and d2 >= 0 and t >= 0):
         return False
-    u = 0.0 if math.isinf(t) else math.exp(-2.0 * t)
+    u = math.exp(-2.0 * t)
     slack = rtol * sigma_n2
     return sigma_n2 * u <= min(d1, d2) + slack and max(d1, d2) <= sigma_n2 + slack
 
 
-def _dcon_rhs(model: SourceModel, d_1l: float, d_2l: float) -> float:
-    """Right-hand side of the individual-receiver distortion inequality."""
-    n1, n2 = model.sigma_n1_2, model.sigma_n2_2
-    return 1.0 / model.sigma_s2 + 1.0 / n1 + 1.0 / n2 - d_1l / n1**2 - d_2l / n2**2
-
-
-def _central_rhs(model: SourceModel, t1: float, t2: float) -> float:
-    """Right-hand side of the central distortion inequality."""
-    u1 = 0.0 if math.isinf(t1) else math.exp(-2.0 * t1)
-    u2 = 0.0 if math.isinf(t2) else math.exp(-2.0 * t2)
-    return 1.0 / model.sigma_s2 + (1.0 - u1) / model.sigma_n1_2 + (1.0 - u2) / model.sigma_n2_2
+def _precision_rhs(model: SourceModel, p: BoundParams) -> tuple[float, float, float]:
+    """Right-hand sides at p of the three distortion inequalities (receivers 1, 2, central)."""
+    s2, n1, n2 = model.sigma_s2, model.sigma_n1_2, model.sigma_n2_2
+    return (
+        receiver_precision(s2, n1, n2, p.d11, p.d21),
+        receiver_precision(s2, n1, n2, p.d12, p.d22),
+        central_precision(s2, n1, n2, math.exp(-2.0 * p.t1), math.exp(-2.0 * p.t2)),
+    )
 
 
 def in_F(
@@ -139,25 +126,48 @@ def in_F(
     for k in (1, 2):
         if not in_F_k(model.noise_var(k), *p.encoder(k)):
             return False
-    if 1.0 / targets.d1 > _dcon_rhs(model, p.d11, p.d21) * (1.0 + rtol):
+    rhs1, rhs2, rhs0 = _precision_rhs(model, p)
+    if 1.0 / targets.d1 > rhs1 * (1.0 + rtol):
         return False
-    if 1.0 / targets.d2 > _dcon_rhs(model, p.d12, p.d22) * (1.0 + rtol):
+    if 1.0 / targets.d2 > rhs2 * (1.0 + rtol):
         return False
-    return 1.0 / targets.d0 <= _central_rhs(model, p.t1, p.t2) * (1.0 + rtol)
+    return 1.0 / targets.d0 <= rhs0 * (1.0 + rtol)
+
+
+def distortion_condition(
+    sigma_s2: float, sigma_n1_2: float, sigma_n2_2: float, d1: float, d2: float, d0: float
+) -> bool:
+    """The distortion-regime predicate under which the bound is tight:
+
+    1/D_1 + 1/D_2 - max(1/n_1, 1/n_2) - 1/sigma_s2 >= 1/D_0,
+
+    on plain floats, so that it can be evaluated for values that do not
+    form a valid model or target triple.
+    """
+    lhs = 1.0 / d1 + 1.0 / d2 - max(1.0 / sigma_n1_2, 1.0 / sigma_n2_2) - 1.0 / sigma_s2
+    return lhs >= 1.0 / d0
 
 
 def condition_holds(model: SourceModel, targets: DistortionTriple) -> bool:
-    """The distortion-regime predicate under which the bound is tight:
-
-    1/D_1 + 1/D_2 - max(1/n_1, 1/n_2) - 1/sigma_s2 >= 1/D_0.
-    """
-    lhs = (
-        1.0 / targets.d1
-        + 1.0 / targets.d2
-        - max(1.0 / model.sigma_n1_2, 1.0 / model.sigma_n2_2)
-        - 1.0 / model.sigma_s2
+    """``distortion_condition`` of a model and its targets."""
+    return distortion_condition(
+        model.sigma_s2, model.sigma_n1_2, model.sigma_n2_2, targets.d1, targets.d2, targets.d0
     )
-    return lhs >= 1.0 / targets.d0
+
+
+def _r(n, d1, d2, t, s, xp=np):
+    """r(d1, d2, t, s) for finite t; ``xp`` is ``math`` for floats, ``numpy`` for arrays."""
+    return t + 0.5 * xp.log((n + s) / ((d1 + s) * (d2 + s))) + 0.5 * xp.log(
+        n * xp.exp(-2.0 * t) + s
+    )
+
+
+def _require_in_box(sigma_n2: float, d1: float, d2: float, t: float) -> None:
+    if not in_F_k(sigma_n2, d1, d2, t):
+        raise DomainError(
+            f"(d1, d2, t) = ({d1}, {d2}, {t}) is outside the admissible box for "
+            f"noise variance {sigma_n2}"
+        )
 
 
 def r_fn(sigma_n2: float, d1: float, d2: float, t: float, sigma_z2: float) -> float:
@@ -166,41 +176,39 @@ def r_fn(sigma_n2: float, d1: float, d2: float, t: float, sigma_z2: float) -> fl
     r(d1, d2, t, s) = t + (1/2) log[(n + s) / ((d1 + s)(d2 + s))]
                         + (1/2) log(n e^{-2t} + s)
 
-    in nats.  ``sigma_z2 = inf`` returns the exact limit t.
+    in nats.  ``sigma_z2 = inf`` returns the exact limit t.  At ``t = inf``
+    the limit is exact too: t cancels at s = 0, leaving
+    (1/2) log(n^2 / (d1 d2)), and r = inf for every s > 0.
     """
-    if not in_F_k(sigma_n2, d1, d2, t):
-        raise DomainError(
-            f"(d1, d2, t) = ({d1}, {d2}, {t}) is outside the admissible box for "
-            f"noise variance {sigma_n2}"
-        )
+    _require_in_box(sigma_n2, d1, d2, t)
     if not sigma_z2 >= 0.0:
         raise DomainError(f"sigma_z2 must be >= 0, got {sigma_z2!r}")
     if math.isinf(sigma_z2):
         return t
     s = float(sigma_z2)
-    e = sigma_n2 * (0.0 if math.isinf(t) else math.exp(-2.0 * t))
-    return (
-        t
-        + 0.5 * math.log((sigma_n2 + s) / ((d1 + s) * (d2 + s)))
-        + 0.5 * math.log(e + s)
-    )
+    if math.isinf(t) and s == 0.0:
+        return 0.5 * math.log(sigma_n2 * sigma_n2 / (d1 * d2)) if d1 * d2 > 0.0 else math.inf
+    return _r(sigma_n2, d1, d2, t, s, math)
 
 
-def _r_vec(n: np.ndarray, d1: np.ndarray, d2: np.ndarray, t: np.ndarray, s: np.ndarray):
-    return t + 0.5 * np.log((n + s) / ((d1 + s) * (d2 + s))) + 0.5 * np.log(
-        n * np.exp(-2.0 * t) + s
-    )
+def _sup_candidates(n: float, d1, d2, t) -> tuple[list, list]:
+    """Candidate maximizers of r over s >= 0 and their values, elementwise.
 
-
-def _sup_r_vec(n: float, d1: np.ndarray, d2: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Vectorised sup over s >= 0 of r; stationary points solve a quadratic in s."""
-    d1, d2, t = np.broadcast_arrays(d1, d2, t)
+    Returns (s, r) lists over four candidates: s = 0, the two roots of the
+    stationarity quadratic a s^2 + b s + c = 0 (the linear root twice when
+    a = 0), and the s -> inf limit with its exact value t.  A root that is
+    not real, positive and finite carries r = -inf.  At t = inf every s > 0
+    gives r = inf, which the limit candidate alone represents.
+    """
+    d1, d2, t = np.asarray(d1), np.asarray(d2), np.asarray(t)
     e = n * np.exp(-2.0 * t)
     a = (d1 + d2) - (e + n)
     b = 2.0 * (d1 * d2 - e * n)
     c = (e + n) * d1 * d2 - e * n * (d1 + d2)
+    finite_t = np.isfinite(t)
+    s_vals, r_vals = [0.0], []
     with np.errstate(invalid="ignore", divide="ignore"):
-        best = _r_vec(n, d1, d2, t, np.zeros_like(t))
+        r_vals.append(np.where(finite_t, _r(n, d1, d2, t, 0.0), -np.inf))
         disc = b * b - 4.0 * a * c
         sq = np.sqrt(np.maximum(disc, 0.0))
         for sgn in (1.0, -1.0):
@@ -209,10 +217,17 @@ def _sup_r_vec(n: float, d1: np.ndarray, d2: np.ndarray, t: np.ndarray) -> np.nd
                 (-b + sgn * sq) / np.where(np.abs(a) > 0.0, 2.0 * a, 1.0),
                 np.where(np.abs(b) > 0.0, -c / np.where(np.abs(b) > 0.0, b, 1.0), -1.0),
             )
-            ok = (disc >= 0.0) & (root > 0.0) & np.isfinite(root)
-            val = np.where(ok, _r_vec(n, d1, d2, t, np.where(ok, root, 1.0)), -np.inf)
-            best = np.maximum(best, val)
-    return np.maximum(best, t)  # s -> inf carries the exact limit value t
+            ok = (disc >= 0.0) & (root > 0.0) & np.isfinite(root) & finite_t
+            s_vals.append(root)
+            r_vals.append(np.where(ok, _r(n, d1, d2, t, np.where(ok, root, 1.0)), -np.inf))
+    s_vals.append(math.inf)
+    r_vals.append(t)
+    return s_vals, r_vals
+
+
+def _sup_r_vec(n: float, d1: np.ndarray, d2: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Vectorised sup over s >= 0 of r: the largest candidate value."""
+    return functools.reduce(np.maximum, _sup_candidates(n, d1, d2, t)[1])
 
 
 def sup_sigma_z(sigma_n2: float, d1: float, d2: float, t: float) -> tuple[float, float]:
@@ -220,53 +235,17 @@ def sup_sigma_z(sigma_n2: float, d1: float, d2: float, t: float) -> tuple[float,
 
     Candidates are s = 0, the nonnegative real roots of the stationarity
     quadratic, and the s -> inf limit (value t, argmax reported as inf).
-    Ties resolve toward the smallest s.
+    Ties resolve toward the smallest s: a candidate replaces the incumbent
+    only when it is larger by more than 1e-15.
     """
-    if not in_F_k(sigma_n2, d1, d2, t):
-        raise DomainError(
-            f"(d1, d2, t) = ({d1}, {d2}, {t}) is outside the admissible box for "
-            f"noise variance {sigma_n2}"
-        )
-    e = sigma_n2 * (0.0 if math.isinf(t) else math.exp(-2.0 * t))
-    a = (d1 + d2) - (e + sigma_n2)
-    b = 2.0 * (d1 * d2 - e * sigma_n2)
-    c = (e + sigma_n2) * d1 * d2 - e * sigma_n2 * (d1 + d2)
-    candidates = [0.0]
-    if a != 0.0:
-        disc = b * b - 4.0 * a * c
-        if disc >= 0.0:
-            sq = math.sqrt(disc)
-            for root in ((-b + sq) / (2.0 * a), (-b - sq) / (2.0 * a)):
-                if root > 0.0 and math.isfinite(root):
-                    candidates.append(root)
-    elif b != 0.0:
-        root = -c / b
-        if root > 0.0 and math.isfinite(root):
-            candidates.append(root)
-    candidates.append(math.inf)
-    best_s, best_val = None, -math.inf
-    for s in sorted(candidates):
-        val = r_fn(sigma_n2, d1, d2, t, s)
+    _require_in_box(sigma_n2, d1, d2, t)
+    s_vals, r_vals = _sup_candidates(sigma_n2, d1, d2, t)
+    candidates = sorted((float(s), float(r)) for s, r in zip(s_vals, r_vals) if r > -math.inf)
+    best_s, best_val = math.nan, -math.inf
+    for s, val in candidates:
         if val > best_val + 1e-15:
             best_s, best_val = s, val
-    assert best_s is not None
     return best_s, best_val
-
-
-def classify_F_k(sigma_n2: float, d1: float, d2: float, t: float) -> FRegion:
-    """Sign-classify an encoder triple: F2 if g(0) <= 0, else F1 if g(n) <= 0, else F3.
-
-    An endpoint root g(n) = 0 counts as F1 (the closed inequality of the set
-    definition); the sign of g(n) equals the sign of d1 + d2 - n e^{-2t} - n.
-    """
-    if not in_F_k(sigma_n2, d1, d2, t):
-        return FRegion.OUTSIDE
-    alpha = _equivalence.alphas(sigma_n2, d1, d2, t)
-    if _equivalence.g_fn(alpha, 0.0) <= 0.0:
-        return FRegion.F2
-    if _equivalence.g_fn(alpha, sigma_n2) <= 0.0:
-        return FRegion.F1
-    return FRegion.F3
 
 
 def in_P(
@@ -288,16 +267,13 @@ def in_P(
     def _eq(x: float, y: float) -> bool:
         return abs(x - y) <= rtol * max(abs(x), abs(y))
 
-    if not _eq(1.0 / targets.d1, _dcon_rhs(model, p.d11, p.d21)):
+    rhs1, rhs2, central = _precision_rhs(model, p)
+    if not (_eq(1.0 / targets.d1, rhs1) and _eq(1.0 / targets.d2, rhs2)):
         return None
-    if not _eq(1.0 / targets.d2, _dcon_rhs(model, p.d12, p.d22)):
-        return None
-    central = _central_rhs(model, p.t1, p.t2)
     if _eq(1.0 / targets.d0, central):
         return PBranch.P1
     pinned = all(
         _eq(model.noise_var(k) * math.exp(-2.0 * p.encoder(k)[2]), min(p.encoder(k)[:2]))
-        or (math.isinf(p.encoder(k)[2]) and min(p.encoder(k)[:2]) == 0.0)
         for k in (1, 2)
     )
     if central > 1.0 / targets.d0 and pinned:
@@ -316,15 +292,15 @@ def project_to_P(model: SourceModel, targets: DistortionTriple, p: BoundParams) 
     """
     if not in_F(model, targets, p):
         raise DomainError("projection input must lie in the admissible set F")
-    n1, n2 = model.sigma_n1_2, model.sigma_n2_2
+    s2, n1, n2 = model.sigma_s2, model.sigma_n1_2, model.sigma_n2_2
     d = {"d11": p.d11, "d12": p.d12, "d21": p.d21, "d22": p.d22}
     for l, target in ((1, targets.d1), (2, targets.d2)):
         key1, key2 = f"d1{l}", f"d2{l}"
-        slack = _dcon_rhs(model, d[key1], d[key2]) - 1.0 / target
+        slack = receiver_precision(s2, n1, n2, d[key1], d[key2]) - 1.0 / target
         if slack < 0.0:  # only tolerance-level negativity possible for p in F
             slack = 0.0
         d[key1] = min(d[key1] + slack * n1**2, n1)
-        slack = _dcon_rhs(model, d[key1], d[key2]) - 1.0 / target
+        slack = receiver_precision(s2, n1, n2, d[key1], d[key2]) - 1.0 / target
         d[key2] = d[key2] + max(slack, 0.0) * n2**2
         if d[key2] > n2 * (1.0 + BOX_RTOL):
             raise DomainError(
@@ -337,12 +313,12 @@ def project_to_P(model: SourceModel, targets: DistortionTriple, p: BoundParams) 
     floor1 = -0.5 * math.log(min(d["d11"], d["d12"]) / n1) if min(d["d11"], d["d12"]) > 0 else math.inf
     floor2 = -0.5 * math.log(min(d["d21"], d["d22"]) / n2) if min(d["d21"], d["d22"]) > 0 else math.inf
     # Lower t_1 toward central equality, stopping at the box floor.
-    need = 1.0 / targets.d0 - 1.0 / model.sigma_s2 - (1.0 - _exp_neg2(t2)) / n2
+    need = 1.0 / targets.d0 - 1.0 / s2 - (1.0 - math.exp(-2.0 * t2)) / n2
     u_eq = 1.0 - n1 * need
     t_eq = -0.5 * math.log(u_eq) if 0.0 < u_eq <= 1.0 else 0.0
     t1 = min(t1, max(floor1, t_eq))
-    if _central_rhs(model, t1, t2) > 1.0 / targets.d0:
-        need = 1.0 / targets.d0 - 1.0 / model.sigma_s2 - (1.0 - _exp_neg2(t1)) / n1
+    if central_precision(s2, n1, n2, math.exp(-2.0 * t1), math.exp(-2.0 * t2)) > 1.0 / targets.d0:
+        need = 1.0 / targets.d0 - 1.0 / s2 - (1.0 - math.exp(-2.0 * t1)) / n1
         u_eq = 1.0 - n2 * need
         t_eq = -0.5 * math.log(u_eq) if 0.0 < u_eq <= 1.0 else 0.0
         t2 = min(t2, max(floor2, t_eq))
@@ -353,10 +329,6 @@ def project_to_P(model: SourceModel, targets: DistortionTriple, p: BoundParams) 
             "the admissible set within tolerance"
         )
     return out
-
-
-def _exp_neg2(t: float) -> float:
-    return 0.0 if math.isinf(t) else math.exp(-2.0 * t)
 
 
 def _nm_polish(fun, best_val, best_at, box):
@@ -377,6 +349,36 @@ def _nm_polish(fun, best_val, best_at, box):
         at = np.clip(np.asarray(res.x), lo, hi)
         return float(res.fun), tuple(float(v) for v in at)
     return best_val, best_at
+
+
+def _grid_search(evaluate, box, n_pts: int, refine: int):
+    """Grid minimum of ``evaluate`` over an N-axis box, refined, then polished.
+
+    ``evaluate(*axes)`` returns the objective on the outer product of the
+    axes (inf where infeasible).  Each of the ``refine`` extra passes shrinks
+    the window 8x around the incumbent; ties go to the first grid point in
+    C order.  Returns (inf, None) when no grid point is feasible.
+    """
+    best, best_at = math.inf, None
+    axes = [np.linspace(lo, hi, n_pts) for lo, hi in box]
+    span = [hi - lo for lo, hi in box]
+    for _ in range(max(int(refine), 0) + 1):
+        obj = evaluate(*axes)
+        at = np.unravel_index(int(np.argmin(obj)), obj.shape)
+        if obj[at] < best:
+            best = float(obj[at])
+            best_at = tuple(float(axis[i]) for axis, i in zip(axes, at))
+        if best_at is None:
+            return best, best_at
+        span = [sp / 8.0 for sp in span]
+        axes = [
+            np.linspace(max(lo, c - sp / 2), min(hi, c + sp / 2), n_pts)
+            for (lo, hi), c, sp in zip(box, best_at, span)
+        ]
+    # The grid minimum overestimates the infimum; a simplex polish on the
+    # manifold coordinates removes the residual so weak duality holds to
+    # the stated 1e-9 slack against near-optimal schemes.
+    return _nm_polish(lambda v: evaluate(*v[:, None]).item(), best, best_at, box)
 
 
 @dataclass(frozen=True)
@@ -409,8 +411,8 @@ def lower_bound(
     """
     require_valid_targets(model, targets)
     s2, n1, n2 = model.sigma_s2, model.sigma_n1_2, model.sigma_n2_2
-    c1 = 1.0 / s2 + 1.0 / n1 + 1.0 / n2 - 1.0 / targets.d1
-    c2 = 1.0 / s2 + 1.0 / n1 + 1.0 / n2 - 1.0 / targets.d2
+    c1 = receiver_precision(s2, n1, n2, 0.0, 0.0) - 1.0 / targets.d1
+    c2 = receiver_precision(s2, n1, n2, 0.0, 0.0) - 1.0 / targets.d2
     c0 = 1.0 / targets.d0 - 1.0 / s2
     for name, c in (("d1", c1), ("d2", c2)):
         if c < 0.0:
@@ -438,10 +440,12 @@ def lower_bound(
     def d2_of(x: np.ndarray, c: float) -> np.ndarray:
         return n2 * n2 * (c - x / (n1 * n1))
 
-    def eval_p1(xs: np.ndarray, ys: np.ndarray, taus: np.ndarray) -> np.ndarray:
-        x = xs[:, None, None]
-        y = ys[None, :, None]
-        tau = taus[None, None, :]
+    def p1_map(x, y, tau):
+        """Branch P1 at (d_11, d_12, tau): (d_21, d_22, u_1, u_2, feasible).
+
+        u_1 = lo + (hi - lo) tau spans the central equality's admissible
+        range given the box floors, and u_2 solves the central equality.
+        """
         d21 = d2_of(x, c1)
         d22 = d2_of(y, c2)
         m1 = np.minimum(x, y)
@@ -453,103 +457,52 @@ def lower_bound(
                 1.0 - (n1 / n2) * (m2 / n2 - 1.0 + n2 * c0),
             ]
         )
-        hi = np.minimum(1.0, m1 / n1) + 0.0 * m2
-        feasible = hi >= lo
+        hi = np.minimum(1.0, m1 / n1)
         u1 = lo + (hi - lo) * tau
         u2 = 1.0 - n2 * (c0 - (1.0 - u1) / n1)
         feasible = (
-            feasible
+            (hi >= lo)
             & (u2 > 0.0)
             & (u2 <= 1.0 + 1e-12)
             & (n2 * u2 <= m2 * (1.0 + 1e-12))
             & (n1 * u1 <= m1 * (1.0 + 1e-12))
         )
+        return d21, d22, u1, u2, feasible
+
+    def p2_map(x, y):
+        """Branch P2 at (d_11, d_12): (d_21, d_22, u_1, u_2), both t on the box floor."""
+        d21 = d2_of(x, c1)
+        d22 = d2_of(y, c2)
+        return d21, d22, np.minimum(x, y) / n1, np.minimum(d21, d22) / n2
+
+    def eval_p1(xs: np.ndarray, ys: np.ndarray, taus: np.ndarray) -> np.ndarray:
+        x = xs[:, None, None]
+        y = ys[None, :, None]
+        d21, d22, u1, u2, feasible = p1_map(x, y, taus[None, None, :])
         t1 = -0.5 * np.log(np.clip(u1, 1e-300, 1.0))
         t2 = -0.5 * np.log(np.clip(u2, 1e-300, 1.0))
-        obj = _sup_r_vec(n1, x + 0.0 * u1, y + 0.0 * u1, t1) + _sup_r_vec(
-            n2, d21 + 0.0 * u1, d22 + 0.0 * u1, t2
-        )
+        obj = _sup_r_vec(n1, x, y, t1) + _sup_r_vec(n2, d21, d22, t2)
         return np.where(feasible, obj, np.inf)
 
     def eval_p2(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         x = xs[:, None]
         y = ys[None, :]
-        d21 = d2_of(x, c1) + 0.0 * y
-        d22 = d2_of(y, c2) + 0.0 * x
-        u1 = np.minimum(x, y) / n1
-        u2 = np.minimum(d21, d22) / n2
+        d21, d22, u1, u2 = p2_map(x, y)
         ok = (u1 > 0.0) & (u2 > 0.0)
         u1c = np.clip(u1, 1e-300, 1.0)
         u2c = np.clip(u2, 1e-300, 1.0)
         t1 = -0.5 * np.log(u1c)
         t2 = -0.5 * np.log(u2c)
-        central = 1.0 / s2 + (1.0 - u1c) / n1 + (1.0 - u2c) / n2
-        ok = ok & (central > 1.0 / targets.d0)
-        obj = _sup_r_vec(n1, x + 0.0 * y, y + 0.0 * x, t1) + _sup_r_vec(n2, d21, d22, t2)
+        ok = ok & (central_precision(s2, n1, n2, u1c, u2c) > 1.0 / targets.d0)
+        obj = _sup_r_vec(n1, x, y, t1) + _sup_r_vec(n2, d21, d22, t2)
         return np.where(ok, obj, np.inf)
 
     n_pts = max(int(grid), 2)
-
-    # Branch P1: refine over (d_11, d_12, tau) with u_1 = lo + (hi - lo) tau.
-    best_p1 = math.inf
-    best_p1_at: tuple[float, float, float] | None = None
-    xs = np.linspace(x_lo, x_hi, n_pts)
-    ys = np.linspace(y_lo, y_hi, n_pts)
-    taus = np.linspace(0.0, 1.0, n_pts)
-    span = (x_hi - x_lo, y_hi - y_lo, 1.0)
-    for _ in range(max(int(refine), 0) + 1):
-        obj = eval_p1(xs, ys, taus)
-        i, j, m = np.unravel_index(int(np.argmin(obj)), obj.shape)
-        if obj[i, j, m] < best_p1:
-            best_p1 = float(obj[i, j, m])
-            best_p1_at = (float(xs[i]), float(ys[j]), float(taus[m]))
-        if best_p1_at is None:
-            break
-        span = tuple(sp / 8.0 for sp in span)  # type: ignore[assignment]
-        cx, cy, ct = best_p1_at
-        xs = np.linspace(max(x_lo, cx - span[0] / 2), min(x_hi, cx + span[0] / 2), n_pts)
-        ys = np.linspace(max(y_lo, cy - span[1] / 2), min(y_hi, cy + span[1] / 2), n_pts)
-        taus = np.linspace(max(0.0, ct - span[2] / 2), min(1.0, ct + span[2] / 2), n_pts)
-
-    if best_p1_at is not None:
-        # The grid minimum overestimates the infimum; a simplex polish on the
-        # manifold coordinates removes the residual so weak duality holds to
-        # the stated 1e-9 slack against near-optimal schemes.
-        box = ((x_lo, x_hi), (y_lo, y_hi), (0.0, 1.0))
-        best_p1, best_p1_at = _nm_polish(
-            lambda v: float(eval_p1(v[0:1], v[1:2], v[2:3])[0, 0, 0]),
-            best_p1,
-            best_p1_at,
-            box,
-        )
-
-    # Branch P2: refine over (d_11, d_12).
-    best_p2 = math.inf
-    best_p2_at: tuple[float, float] | None = None
-    xs = np.linspace(x_lo, x_hi, n_pts)
-    ys = np.linspace(y_lo, y_hi, n_pts)
-    span2 = (x_hi - x_lo, y_hi - y_lo)
-    for _ in range(max(int(refine), 0) + 1):
-        obj = eval_p2(xs, ys)
-        i, j = np.unravel_index(int(np.argmin(obj)), obj.shape)
-        if obj[i, j] < best_p2:
-            best_p2 = float(obj[i, j])
-            best_p2_at = (float(xs[i]), float(ys[j]))
-        if best_p2_at is None:
-            break
-        span2 = tuple(sp / 8.0 for sp in span2)  # type: ignore[assignment]
-        cx, cy = best_p2_at
-        xs = np.linspace(max(x_lo, cx - span2[0] / 2), min(x_hi, cx + span2[0] / 2), n_pts)
-        ys = np.linspace(max(y_lo, cy - span2[1] / 2), min(y_hi, cy + span2[1] / 2), n_pts)
-
-    if best_p2_at is not None:
-        box2 = ((x_lo, x_hi), (y_lo, y_hi))
-        best_p2, best_p2_at = _nm_polish(
-            lambda v: float(eval_p2(v[0:1], v[1:2])[0, 0]),
-            best_p2,
-            best_p2_at,
-            box2,
-        )
+    # Branch P1 over (d_11, d_12, tau); branch P2 over (d_11, d_12).
+    best_p1, best_p1_at = _grid_search(
+        eval_p1, ((x_lo, x_hi), (y_lo, y_hi), (0.0, 1.0)), n_pts, refine
+    )
+    best_p2, best_p2_at = _grid_search(eval_p2, ((x_lo, x_hi), (y_lo, y_hi)), n_pts, refine)
 
     branch_values = {PBranch.P1: best_p1 + const, PBranch.P2: best_p2 + const}
     if not math.isfinite(min(best_p1, best_p2)):
@@ -558,26 +511,15 @@ def lower_bound(
         )
 
     if best_p1 <= best_p2:
-        assert best_p1_at is not None
-        x, y, tau = best_p1_at
-        d21 = float(d2_of(np.array(x), c1))
-        d22 = float(d2_of(np.array(y), c2))
-        m1, m2 = min(x, y), min(d21, d22)
-        lo = max(1e-14, 1.0 - n1 * c0, 1.0 - (n1 / n2) * (m2 / n2 - 1.0 + n2 * c0))
-        hi = min(1.0, m1 / n1)
-        u1 = lo + (hi - lo) * tau
-        u2 = 1.0 - n2 * (c0 - (1.0 - u1) / n1)
-        argmin = BoundParams(x, y, d21, d22, -0.5 * math.log(u1), -0.5 * math.log(u2))
         branch = PBranch.P1
+        x, y, tau = best_p1_at
+        d21, d22, u1, u2, _ = p1_map(np.array(x), np.array(y), np.array(tau))
     else:
-        assert best_p2_at is not None
-        x, y = best_p2_at
-        d21 = float(d2_of(np.array(x), c1))
-        d22 = float(d2_of(np.array(y), c2))
-        t1 = -0.5 * math.log(min(x, y) / n1) if min(x, y) > 0 else math.inf
-        t2 = -0.5 * math.log(min(d21, d22) / n2) if min(d21, d22) > 0 else math.inf
-        argmin = BoundParams(x, y, d21, d22, t1, t2)
         branch = PBranch.P2
+        x, y = best_p2_at
+        d21, d22, u1, u2 = p2_map(np.array(x), np.array(y))
+    t1, t2 = (-0.5 * math.log(u) if u > 0.0 else math.inf for u in (float(u1), float(u2)))
+    argmin = BoundParams(x, y, float(d21), float(d22), t1, t2)
 
     sz1, _ = sup_sigma_z(n1, argmin.d11, argmin.d12, argmin.t1)
     sz2, _ = sup_sigma_z(n2, argmin.d21, argmin.d22, argmin.t2)

@@ -88,6 +88,10 @@ def _require_number(section: dict, key: str, where: str) -> float:
     return float(v)
 
 
+def _valid_tol(tol: float) -> bool:
+    return math.isfinite(tol) and tol >= 0
+
+
 def parse_instance(text: str) -> InstanceSpec:
     """Parse and validate an instance document; diagnostics carry line/field."""
     try:
@@ -139,9 +143,9 @@ def parse_instance(text: str) -> InstanceSpec:
             raise InstanceParseError(f"unknown field(s) in options: {sorted(unknown)}")
         kwargs: dict[str, Any] = {}
         if "tol" in o:
-            kwargs["tol"] = _require_number(o, "tol", "options")
-            if kwargs["tol"] < 0:
-                raise InstanceParseError("options.tol must be >= 0")
+            tol = kwargs["tol"] = _require_number(o, "tol", "options")
+            if not _valid_tol(tol):
+                raise InstanceParseError(f"options.tol must be finite and >= 0, got {tol!r}")
         for key in ("starts", "grid", "seed"):
             if key in o:
                 v = o[key]
@@ -343,10 +347,6 @@ def cmd_verify(spec: InstanceSpec, opts: Options, fmt: str, out, identity_tol: f
     return EXIT_OK if status == "PASS" else EXIT_VERIFY_FAIL
 
 
-def _condition_raw(s2: float, n1: float, n2: float, d1: float, d2: float, d0: float) -> bool:
-    return 1.0 / d1 + 1.0 / d2 - max(1.0 / n1, 1.0 / n2) - 1.0 / s2 >= 1.0 / d0
-
-
 def cmd_sweep(
     spec: InstanceSpec,
     opts: Options,
@@ -372,7 +372,7 @@ def cmd_sweep(
             "d0": spec.targets.d0,
         }
         fields[var] = value
-        cond = _condition_raw(
+        cond = _bound.distortion_condition(
             fields["sigma_s2"],
             fields["sigma_n1_2"],
             fields["sigma_n2_2"],
@@ -472,6 +472,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     out = sys.stdout
+    if args.tol is not None and not _valid_tol(args.tol):
+        print(f"error: --tol must be finite and >= 0, got {args.tol!r}", file=sys.stderr)
+        return EXIT_PARSE
     try:
         spec = load_instance(args.instance)
     except InstanceParseError as e:

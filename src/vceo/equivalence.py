@@ -30,26 +30,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from enum import Enum
+from typing import NamedTuple
 
-from . import scheme as _scheme
+from .bound import BoundParams, _require_in_box, condition_holds, in_F_k, in_P, r_fn
 from .errors import DomainError, InternalContradictionError
 from .gaussmodel import SourceModel, build_joint_cov, conditional_mi
 from .scheme import (
     DistortionTriple,
     SchemeParams,
     W_CAP_FACTOR,
+    _distortions,
     _marginal_d,
     _marginal_t,
+    receiver_precision,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import breaks a load cycle
-    from .bound import BoundParams
 
 __all__ = [
     "AlphaTriple",
     "EquivalenceReport",
+    "FRegion",
     "alphas",
+    "classify_F_k",
     "g_fn",
     "solve_a_star",
     "construct_matching_scheme",
@@ -58,6 +60,15 @@ __all__ = [
 #: |g(a*)| tolerance and relative bracket width for the root search.
 G_TOL = 1e-12
 BRACKET_RTOL = 1e-14
+
+
+class FRegion(Enum):
+    """Sign-classification of an encoder triple by g at 0 and at the noise variance."""
+
+    F1 = "F_k1"
+    F2 = "F_k2"
+    F3 = "F_k3"
+    OUTSIDE = "not_in_F_k"
 
 
 class AlphaTriple(NamedTuple):
@@ -74,14 +85,8 @@ def alphas(sigma_n2: float, d1: float, d2: float, t: float) -> AlphaTriple:
     Boundary inputs d = sigma_n2 or t = 0 yield flagged infinite entries.
     The map inverts exactly: d = sigma_n2 * alpha / (sigma_n2 + alpha).
     """
-    from .bound import in_F_k  # deferred: bound imports this module at load time
-
-    if not in_F_k(sigma_n2, d1, d2, t):
-        raise DomainError(
-            f"(d1, d2, t) = ({d1}, {d2}, {t}) is outside the admissible box for "
-            f"noise variance {sigma_n2}"
-        )
-    u = math.exp(-2.0 * t) if not math.isinf(t) else 0.0
+    _require_in_box(sigma_n2, d1, d2, t)
+    u = math.exp(-2.0 * t)
     a0 = sigma_n2 * u / (1.0 - u) if u < 1.0 else math.inf
     a1 = sigma_n2 * d1 / (sigma_n2 - d1) if d1 < sigma_n2 else math.inf
     a2 = sigma_n2 * d2 / (sigma_n2 - d2) if d2 < sigma_n2 else math.inf
@@ -101,6 +106,22 @@ def g_fn(alpha: AlphaTriple, beta: float) -> float:
         return 1.0 / (a + beta)
 
     return term(alpha.a0) - term(alpha.a1) - term(alpha.a2)
+
+
+def classify_F_k(sigma_n2: float, d1: float, d2: float, t: float) -> FRegion:
+    """Sign-classify an encoder triple: F2 if g(0) <= 0, else F1 if g(n) <= 0, else F3.
+
+    An endpoint root g(n) = 0 counts as F1 (the closed inequality of the set
+    definition); the sign of g(n) equals the sign of d1 + d2 - n e^{-2t} - n.
+    """
+    if not in_F_k(sigma_n2, d1, d2, t):
+        return FRegion.OUTSIDE
+    alpha = alphas(sigma_n2, d1, d2, t)
+    if g_fn(alpha, 0.0) <= 0.0:
+        return FRegion.F2
+    if g_fn(alpha, sigma_n2) <= 0.0:
+        return FRegion.F1
+    return FRegion.F3
 
 
 def solve_a_star(sigma_n2: float, alpha: AlphaTriple) -> float:
@@ -170,8 +191,6 @@ def _construct_encoder(
     sigma_n2: float, d1: float, d2: float, t: float
 ) -> tuple[str, float, AlphaTriple, float]:
     """Dispatch one encoder: (case label, a_k, alphas, sigma_z2)."""
-    from .bound import FRegion, classify_F_k
-
     region = classify_F_k(sigma_n2, d1, d2, t)
     alpha = alphas(sigma_n2, d1, d2, t)
     if region is FRegion.F2:
@@ -192,7 +211,7 @@ def _construct_encoder(
 
 
 def construct_matching_scheme(
-    model: SourceModel, targets: DistortionTriple, p: "BoundParams"
+    model: SourceModel, targets: DistortionTriple, p: BoundParams
 ) -> EquivalenceReport:
     """Build the scheme matching the bound at a critical point p, and compare sides.
 
@@ -200,8 +219,6 @@ def construct_matching_scheme(
     manifold.  The report's two sides agree to numerical precision and the
     conditional informations I(U_k1; U_k2 | S, Y_k) vanish by construction.
     """
-    from .bound import condition_holds, in_P, r_fn
-
     if not condition_holds(model, targets):
         raise DomainError("distortion condition fails; no matching construction is attempted")
     if in_P(model, targets, p) is None:
@@ -236,9 +253,8 @@ def construct_matching_scheme(
         rhs += r_fn(n, d1p, d2p, t_p, sz)
 
     n1, n2 = model.sigma_n1_2, model.sigma_n2_2
-    base = 1.0 / model.sigma_s2 + 1.0 / n1 + 1.0 / n2
-    inv_delta1 = base - dp_exact[0] / n1**2 - dp_exact[2] / n2**2
-    inv_delta2 = base - dp_exact[1] / n1**2 - dp_exact[3] / n2**2
+    inv_delta1 = receiver_precision(model.sigma_s2, n1, n2, dp_exact[0], dp_exact[2])
+    inv_delta2 = receiver_precision(model.sigma_s2, n1, n2, dp_exact[1], dp_exact[3])
     rhs += 0.5 * math.log(model.sigma_s2**2 * inv_delta1 * inv_delta2)
 
     # Stored params cap absent descriptions at the documented numerical infinity.
@@ -265,11 +281,6 @@ def construct_matching_scheme(
         cond_mi_vals.append(val)
         rhs += val
 
-    distortions = (
-        _scheme.receiver_distortion(model, params, 1),
-        _scheme.receiver_distortion(model, params, 2),
-        _scheme.central_distortion(model, params),
-    )
     return EquivalenceReport(
         lhs=lhs,
         rhs=rhs,
@@ -277,7 +288,7 @@ def construct_matching_scheme(
         params=params,
         sigma_z=(sigma_z[0], sigma_z[1]),
         cond_mi=(cond_mi_vals[0], cond_mi_vals[1]),
-        distortions=distortions,
+        distortions=_distortions(model, params),
     )
 
 

@@ -174,7 +174,7 @@ def require_valid_targets(model: SourceModel, targets: DistortionTriple) -> None
 
 def full_mmse(model: SourceModel) -> float:
     """Var(S | X1, X2): the distortion floor once both observations are exhausted."""
-    return 1.0 / (1.0 / model.sigma_s2 + 1.0 / model.sigma_n1_2 + 1.0 / model.sigma_n2_2)
+    return 1.0 / receiver_precision(model.sigma_s2, model.sigma_n1_2, model.sigma_n2_2, 0.0, 0.0)
 
 
 def _marginal_d(noise_var: float, w: float) -> float:
@@ -219,6 +219,64 @@ def marginal_params(model: SourceModel, params: SchemeParams) -> MarginalParams:
     )
 
 
+def receiver_precision(s2, n1, n2, d1l, d2l):
+    """1/delta_l = 1/sigma_s2 + 1/n_1 + 1/n_2 - d'_1l/n_1^2 - d'_2l/n_2^2.
+
+    The precision of S given the two descriptions U_1l, U_2l, from their
+    marginal variances d'_kl; elementwise on arrays.  d' = 0 (exact
+    observations) gives 1/full_mmse.
+    """
+    return 1.0 / s2 + 1.0 / n1 + 1.0 / n2 - d1l / n1**2 - d2l / n2**2
+
+
+def central_precision(s2, n1, n2, u1, u2):
+    """1/delta_0 = 1/sigma_s2 + (1 - u_1)/n_1 + (1 - u_2)/n_2 with u_k = e^{-2 t'_k}.
+
+    u_k = 0 is the t'_k = inf limit (descriptions exhaust X_k); elementwise on arrays.
+    """
+    return 1.0 / s2 + (1.0 - u1) / n1 + (1.0 - u2) / n2
+
+
+def _closed_form(s2, n1, n2, w11, w12, w21, w22, a1, a2):
+    """(sum rate, 1/delta_1, 1/delta_2, 1/delta_0) of a scheme, from plain floats.
+
+    The sum rate decomposes per encoder as 1/2 log(n_k^2 / (d'_k1 d'_k2))
+    + 1/2 log(w_k1 w_k2 / (w_k1 w_k2 - a_k^2)), plus 1/2 log(sigma_s4 /
+    (delta_1 delta_2)), and e^{-2 t'_k} = det_k / (n_k (w_k1 + w_k2 + 2 a_k)
+    + det_k) with det_k = w_k1 w_k2 - a_k^2.  Exact limits: w = 0 gives
+    d' = 0, and det_k = 0 gives t'_k = inf, so e^{-2 t'_k} = 0; the sum rate
+    is +inf whenever some det_k <= 0.  This sits in the Nelder-Mead hot loop,
+    so it is inlined float arithmetic in a fixed operation order; 1/delta_0
+    here agrees with ``central_distortion`` to the last bit or two.
+    """
+    det1 = w11 * w12 - a1 * a1
+    det2 = w21 * w22 - a2 * a2
+    d11 = n1 * w11 / (n1 + w11)
+    d12 = n1 * w12 / (n1 + w12)
+    d21 = n2 * w21 / (n2 + w21)
+    d22 = n2 * w22 / (n2 + w22)
+    inv_d1 = receiver_precision(s2, n1, n2, d11, d21)
+    inv_d2 = receiver_precision(s2, n1, n2, d12, d22)
+    u1 = det1 / (n1 * (w11 + w12 + 2.0 * a1) + det1) if det1 > 0.0 else 0.0
+    u2 = det2 / (n2 * (w21 + w22 + 2.0 * a2) + det2) if det2 > 0.0 else 0.0
+    inv_d0 = central_precision(s2, n1, n2, u1, u2)
+    if det1 <= 0.0 or det2 <= 0.0:
+        return math.inf, inv_d1, inv_d2, inv_d0
+    rate = 0.5 * math.log(n1 * n1 / (d11 * d12)) + 0.5 * math.log(n2 * n2 / (d21 * d22))
+    if a1 > 0.0:
+        rate += 0.5 * math.log(w11 * w12 / det1)
+    if a2 > 0.0:
+        rate += 0.5 * math.log(w21 * w22 / det2)
+    rate += 0.5 * math.log(s2 * inv_d1) + 0.5 * math.log(s2 * inv_d2)
+    return rate, inv_d1, inv_d2, inv_d0
+
+
+def _scheme_forms(model: SourceModel, p: SchemeParams) -> tuple[float, float, float, float]:
+    """``_closed_form`` of a model and a scheme."""
+    s2, n1, n2 = model.sigma_s2, model.sigma_n1_2, model.sigma_n2_2
+    return _closed_form(s2, n1, n2, p.w11, p.w12, p.w21, p.w22, p.a1, p.a2)
+
+
 def receiver_distortion(model: SourceModel, params: SchemeParams, l: int) -> float:
     """Var(S | U_1l, U_2l) achieved at individual receiver ``l``, in closed form:
 
@@ -226,11 +284,7 @@ def receiver_distortion(model: SourceModel, params: SchemeParams, l: int) -> flo
     """
     if l not in (1, 2):
         raise InvalidParamsError(f"receiver index must be 1 or 2, got {l!r}")
-    n1, n2 = model.sigma_n1_2, model.sigma_n2_2
-    d1l = _marginal_d(n1, params.w11 if l == 1 else params.w12)
-    d2l = _marginal_d(n2, params.w21 if l == 1 else params.w22)
-    inv = 1.0 / model.sigma_s2 + 1.0 / n1 + 1.0 / n2 - d1l / n1**2 - d2l / n2**2
-    return 1.0 / inv
+    return 1.0 / _scheme_forms(model, params)[l]
 
 
 def central_distortion(model: SourceModel, params: SchemeParams) -> float:
@@ -239,13 +293,15 @@ def central_distortion(model: SourceModel, params: SchemeParams) -> float:
     1/delta_0 = 1/sigma_s2 + (1 - e^{-2 t'_1})/n_1 + (1 - e^{-2 t'_2})/n_2,
 
     with e^{-2 t'} = 0 at the t' = inf limit (descriptions exhaust X_k).
+
+    e^{-2 t'} is taken from t' itself, not from the hot loop's rational form
+    in ``_closed_form``: the two differ in the last bit, and the exact
+    bisection of ``_restore_feasibility`` (hence every optimizer start built
+    on it) depends on this value bit for bit.
     """
     mp = marginal_params(model, params)
-    n1, n2 = model.sigma_n1_2, model.sigma_n2_2
-    u1 = 0.0 if math.isinf(mp.t1) else math.exp(-2.0 * mp.t1)
-    u2 = 0.0 if math.isinf(mp.t2) else math.exp(-2.0 * mp.t2)
-    inv = 1.0 / model.sigma_s2 + (1.0 - u1) / n1 + (1.0 - u2) / n2
-    return 1.0 / inv
+    u1, u2 = math.exp(-2.0 * mp.t1), math.exp(-2.0 * mp.t2)
+    return 1.0 / central_precision(model.sigma_s2, model.sigma_n1_2, model.sigma_n2_2, u1, u2)
 
 
 def sum_rate(model: SourceModel, params: SchemeParams) -> RateBreakdown:
@@ -263,29 +319,11 @@ def sum_rate(model: SourceModel, params: SchemeParams) -> RateBreakdown:
 
 
 def _sum_rate_closed(model: SourceModel, params: SchemeParams) -> float:
-    """Closed-form sum rate (equals the log-det route; used in the optimizer hot loop).
+    """Closed-form sum rate (equals the log-det route; see ``_closed_form``).
 
-    Decomposes per encoder as 1/2 log(n_k^2 / (d'_k1 d'_k2))
-    + 1/2 log(w_k1 w_k2 / (w_k1 w_k2 - a_k^2)), plus 1/2 log(sigma_s4 /
-    (delta_1 delta_2)).  Returns +inf at degenerate parameters.
+    Returns +inf at degenerate parameters.
     """
-    total = 0.0
-    for k in (1, 2):
-        w1, w2, a = params.encoder(k)
-        n = model.noise_var(k)
-        d1 = _marginal_d(n, w1)
-        d2 = _marginal_d(n, w2)
-        if d1 == 0.0 or d2 == 0.0:
-            return math.inf
-        total += 0.5 * math.log(n * n / (d1 * d2))
-        det = w1 * w2 - a * a
-        if a > 0.0:
-            if det <= 0.0:
-                return math.inf
-            total += 0.5 * math.log(w1 * w2 / det)
-    for l in (1, 2):
-        total += 0.5 * math.log(model.sigma_s2 / receiver_distortion(model, params, l))
-    return total
+    return _scheme_forms(model, params)[0]
 
 
 def rate_tuple(model: SourceModel, params: SchemeParams, slack: float) -> RateBreakdown:
@@ -356,11 +394,9 @@ class OptimizeResult:
 
 
 def _distortions(model: SourceModel, params: SchemeParams) -> tuple[float, float, float]:
-    return (
-        receiver_distortion(model, params, 1),
-        receiver_distortion(model, params, 2),
-        central_distortion(model, params),
-    )
+    """(delta_1, delta_2, delta_0) of a scheme."""
+    _, inv_d1, inv_d2, _ = _scheme_forms(model, params)
+    return 1.0 / inv_d1, 1.0 / inv_d2, central_distortion(model, params)
 
 
 def _is_feasible(
@@ -390,40 +426,21 @@ def _params_from_vector(model: SourceModel, z: np.ndarray) -> SchemeParams:
 
 
 def _penalized_objective(model: SourceModel, targets: DistortionTriple, weight: float):
-    """Closed-form sum rate plus exact penalty on relative distortion violations.
-
-    Inlined float arithmetic: this sits in the Nelder-Mead hot loop.
-    """
+    """Closed-form sum rate plus exact penalty on relative distortion violations."""
     s2, n1, n2 = model.sigma_s2, model.sigma_n1_2, model.sigma_n2_2
     log_caps = np.log(np.array([n1, n1, n2, n2]))
     lo, hi = log_caps - 25.0, log_caps + math.log(W_CAP_FACTOR)
     t1v, t2v, t0v = targets.d1, targets.d2, targets.d0
 
     def objective(z: np.ndarray) -> float:
-        w = np.exp(np.clip(z[:4], lo, hi))
+        w11, w12, w21, w22 = np.exp(np.clip(z[:4], lo, hi)).tolist()
         rho1 = min(max(z[4], 0.0), 1.0)
         rho2 = min(max(z[5], 0.0), 1.0)
-        a1 = rho1 * min(math.sqrt(w[0] * w[1]), n1)
-        a2 = rho2 * min(math.sqrt(w[2] * w[3]), n2)
-        det1 = w[0] * w[1] - a1 * a1
-        det2 = w[2] * w[3] - a2 * a2
-        if det1 <= 0.0 or det2 <= 0.0:
+        a1 = rho1 * min(math.sqrt(w11 * w12), n1)
+        a2 = rho2 * min(math.sqrt(w21 * w22), n2)
+        value, inv_dl1, inv_dl2, inv_d0 = _closed_form(s2, n1, n2, w11, w12, w21, w22, a1, a2)
+        if math.isinf(value):
             return 1e12
-        d11 = n1 * w[0] / (n1 + w[0])
-        d12 = n1 * w[1] / (n1 + w[1])
-        d21 = n2 * w[2] / (n2 + w[2])
-        d22 = n2 * w[3] / (n2 + w[3])
-        value = 0.5 * math.log(n1 * n1 / (d11 * d12)) + 0.5 * math.log(n2 * n2 / (d21 * d22))
-        if a1 > 0.0:
-            value += 0.5 * math.log(w[0] * w[1] / det1)
-        if a2 > 0.0:
-            value += 0.5 * math.log(w[2] * w[3] / det2)
-        inv_dl1 = 1.0 / s2 + 1.0 / n1 + 1.0 / n2 - d11 / n1**2 - d21 / n2**2
-        inv_dl2 = 1.0 / s2 + 1.0 / n1 + 1.0 / n2 - d12 / n1**2 - d22 / n2**2
-        value += 0.5 * math.log(s2 * inv_dl1) + 0.5 * math.log(s2 * inv_dl2)
-        u1 = det1 / (n1 * (w[0] + w[1] + 2.0 * a1) + det1)
-        u2 = det2 / (n2 * (w[2] + w[3] + 2.0 * a2) + det2)
-        inv_d0 = 1.0 / s2 + (1.0 - u1) / n1 + (1.0 - u2) / n2
         viol = (
             max(0.0, 1.0 / (inv_dl1 * t1v) - 1.0)
             + max(0.0, 1.0 / (inv_dl2 * t2v) - 1.0)
@@ -527,7 +544,7 @@ def _constraint_start(
     only; independent of the converse search.
     """
     n = (model.sigma_n1_2, model.sigma_n2_2)
-    base = 1.0 / model.sigma_s2 + 1.0 / n[0] + 1.0 / n[1]
+    base = receiver_precision(model.sigma_s2, n[0], n[1], 0.0, 0.0)
     w = [0.0] * 4
     for l, target in ((1, targets.d1), (2, targets.d2)):
         c = base - 1.0 / target

@@ -26,7 +26,7 @@ from vceo import (
     sum_rate,
     sup_sigma_z,
 )
-from vceo.bound import in_F
+from vceo.bound import _sup_r_vec, in_F
 
 from conftest import (
     random_condition_targets,
@@ -127,6 +127,28 @@ class TestSupSigmaZ:
             d1, d2, t = random_F_k_triple(rng, n)
             argmax, value = sup_sigma_z(n, d1, d2, t)
             assert value == pytest.approx(r_fn(n, d1, d2, t, argmax), abs=1e-12)
+
+    def test_ties_resolve_to_smallest_channel_variance(self):
+        # d1 = n and d2 = n e^{-2t} make r(s) = t for every s, so all
+        # candidates tie up to roundoff and s = 0 must win.
+        for n, t in ((1.0, 0.35), (0.3, 1.2), (3.0, 0.05)):
+            argmax, value = sup_sigma_z(n, n, n * math.exp(-2.0 * t), t)
+            assert argmax == 0.0
+            assert value == pytest.approx(t, abs=1e-12)
+
+    def test_infinite_t_limit(self):
+        # t = inf is admitted by the box; at s = 0 it cancels, for s > 0 r = inf.
+        n, d1, d2 = 1.0, 0.5, 0.5
+        assert r_fn(n, d1, d2, math.inf, 0.0) == pytest.approx(math.log(2.0), abs=1e-15)
+        assert r_fn(n, d1, d2, math.inf, 0.0) == pytest.approx(
+            r_fn(n, d1, d2, 30.0, 0.0), abs=2e-15
+        )
+        assert r_fn(n, d1, d2, math.inf, 0.3) == math.inf
+        assert r_fn(n, 0.0, d2, math.inf, 0.0) == math.inf
+        assert sup_sigma_z(n, d1, d2, math.inf) == (math.inf, math.inf)
+        grid = _sup_r_vec(n, np.array([d1, 0.3]), np.array([d2, 0.9]), np.array([math.inf, 0.7]))
+        assert grid[0] == math.inf
+        assert grid[1] == pytest.approx(sup_sigma_z(n, 0.3, 0.9, 0.7)[1], abs=1e-14)
 
 
 class TestClassifyFk:

@@ -159,6 +159,27 @@ class TestVerifyCommand:
         assert "FAIL" in capsys.readouterr().out
 
 
+class TestToleranceValidation:
+    @pytest.mark.parametrize(
+        "command, tol",
+        [("verify", "nan"), ("verify", "-1"), ("verify", "inf"), ("sum-rate", "nan")],
+    )
+    def test_non_finite_or_negative_flag_is_a_parse_error(self, canonical, capsys, command, tol):
+        assert main([command, "--instance", canonical, "--tol", tol]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "--tol" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_non_finite_or_negative_instance_option_rejected(self, tmp_path, capsys, tol):
+        doc = dict(CANONICAL_DOC, options={"tol": tol})
+        with pytest.raises(InstanceParseError, match="options.tol"):
+            parse_instance(json.dumps(doc))
+        path = write_instance(tmp_path, doc)
+        assert main(["verify", "--instance", path]) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith("error:")
+
+
 class TestSweepCommand:
     def test_header_and_condition_column(self, canonical, capsys):
         code = main(

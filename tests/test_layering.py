@@ -1,0 +1,78 @@
+"""Module layering of the package: relative imports form an acyclic graph."""
+
+import ast
+from pathlib import Path
+
+import vceo
+
+PACKAGE = Path(vceo.__file__).resolve().parent
+
+#: The one deferred import left: the optimizer's analytic start calls the
+#: converse bound and the matching construction, which sit above the scheme.
+ALLOWED_LOCAL_IMPORTS = {("scheme", "_analytic_start")}
+
+
+def _imported_modules(node: ast.ImportFrom) -> set[str]:
+    """Sibling modules named by a relative ``from`` import."""
+    if node.module:
+        return {node.module.split(".")[0]}
+    return {alias.name for alias in node.names}
+
+
+def _is_type_checking_block(node: ast.AST) -> bool:
+    return isinstance(node, ast.If) and (
+        (isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING")
+        or (isinstance(node.test, ast.Attribute) and node.test.attr == "TYPE_CHECKING")
+    )
+
+
+class _ImportCollector(ast.NodeVisitor):
+    def __init__(self) -> None:
+        self.module_level: set[str] = set()
+        self.local: set[str] = set()  # names of functions holding relative imports
+        self._functions: list[str] = []
+
+    def visit_If(self, node: ast.If) -> None:
+        if not _is_type_checking_block(node):
+            self.generic_visit(node)
+
+    def _visit_function(self, node) -> None:
+        self._functions.append(node.name)
+        self.generic_visit(node)
+        self._functions.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = _visit_function
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        if node.level == 0:
+            return
+        if self._functions:
+            self.local.add(".".join(self._functions))
+        else:
+            self.module_level |= _imported_modules(node)
+
+
+def _collect() -> dict[str, _ImportCollector]:
+    out = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        collector = _ImportCollector()
+        collector.visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        out[path.stem] = collector
+    return out
+
+
+def test_module_level_imports_are_acyclic():
+    graph = {name: c.module_level for name, c in _collect().items()}
+    assert "equivalence" not in graph["bound"]
+    # Kahn's algorithm: every module must drain once its imports have.
+    remaining = dict(graph)
+    while remaining:
+        ready = [m for m, deps in remaining.items() if not deps & remaining.keys()]
+        assert ready, f"import cycle among {sorted(remaining)}"
+        for module in ready:
+            del remaining[module]
+
+
+def test_only_the_analytic_start_imports_locally():
+    local = {(name, fn) for name, c in _collect().items() for fn in c.local}
+    assert local == ALLOWED_LOCAL_IMPORTS

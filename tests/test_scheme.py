@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,9 +29,15 @@ from vceo import (
 )
 from vceo.bound import r_fn
 from vceo.gaussmodel import gaussian_mi
-from vceo.scheme import W_CAP_FACTOR, _sum_rate_closed
+from vceo.scheme import (
+    W_CAP_FACTOR,
+    _distortions,
+    _params_from_vector,
+    _penalized_objective,
+    _sum_rate_closed,
+)
 
-from conftest import random_model, random_params
+from conftest import random_feasible_targets, random_model, random_params
 
 UNIT = SourceModel(1.0, 1.0, 1.0)
 
@@ -301,6 +308,34 @@ class TestRateTuple:
     def test_rejects_nonpositive_slack(self):
         with pytest.raises(InvalidParamsError):
             rate_tuple(UNIT, SchemeParams(1, 1, 1, 1), 0.0)
+
+
+class TestPenalizedObjective:
+    def test_matches_closed_form_plus_relative_violation_penalty(self, rng):
+        # The optimizer's objective at z is the closed-form sum rate of the
+        # decoded scheme plus weight * (sum of relative distortion violations).
+        feasible = infeasible = 0
+        while feasible < 100 or infeasible < 100:
+            model = random_model(rng)
+            targets = random_feasible_targets(rng, model)
+            weight = float(rng.choice([1e4, 3.0]))
+            objective = _penalized_objective(model, targets, weight)
+            log_n = np.log([model.sigma_n1_2, model.sigma_n1_2, model.sigma_n2_2, model.sigma_n2_2])
+            z = np.concatenate([log_n + rng.uniform(-6.0, 4.0, 4), rng.uniform(-0.3, 0.95, 2)])
+            params = _params_from_vector(model, z)
+            rate = _sum_rate_closed(model, params)
+            excess = sum(
+                max(0.0, delta / target - 1.0)
+                for delta, target in zip(
+                    _distortions(model, params), (targets.d1, targets.d2, targets.d0)
+                )
+            )
+            if excess == 0.0:
+                feasible += 1
+                assert objective(z) == pytest.approx(rate, rel=1e-12, abs=1e-300)
+            else:
+                infeasible += 1
+                assert objective(z) - rate == pytest.approx(weight * excess, rel=1e-9, abs=1e-9)
 
 
 class TestOptimizeSumRate:
