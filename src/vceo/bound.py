@@ -58,6 +58,8 @@ __all__ = [
 EQUALITY_RTOL = 1e-9
 #: Relative slack admitted on the box inequalities.
 BOX_RTOL = 1e-12
+#: Fewest grid points per axis: two scan only the box corners.
+MIN_GRID = 3
 
 
 @dataclass(frozen=True)
@@ -407,8 +409,12 @@ def lower_bound(
     8x around the incumbent; the reported value is the better branch.
 
     Raises InfeasibleTargetsError when the critical manifold is empty (a
-    target below the remote MMSE floor), naming the violated constraint.
+    target below the remote MMSE floor), naming the violated constraint, and
+    InvalidParamsError for ``grid < MIN_GRID``: two points per axis scan
+    only the box corners and miss a manifold that is not empty.
     """
+    if grid < MIN_GRID:
+        raise InvalidParamsError(f"grid must be >= {MIN_GRID}, got {grid!r}")
     require_valid_targets(model, targets)
     s2, n1, n2 = model.sigma_s2, model.sigma_n1_2, model.sigma_n2_2
     c1 = receiver_precision(s2, n1, n2, 0.0, 0.0) - 1.0 / targets.d1
@@ -497,7 +503,7 @@ def lower_bound(
         obj = _sup_r_vec(n1, x, y, t1) + _sup_r_vec(n2, d21, d22, t2)
         return np.where(ok, obj, np.inf)
 
-    n_pts = max(int(grid), 2)
+    n_pts = int(grid)
     # Branch P1 over (d_11, d_12, tau); branch P2 over (d_11, d_12).
     best_p1, best_p1_at = _grid_search(
         eval_p1, ((x_lo, x_hi), (y_lo, y_hi), (0.0, 1.0)), n_pts, refine

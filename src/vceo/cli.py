@@ -59,6 +59,8 @@ SWEEP_COLUMNS = (
 SWEEP_VARS = ("d0", "d1", "d2", "sigma_s2", "sigma_n1_2", "sigma_n2_2")
 
 LN2 = math.log(2.0)
+#: Smallest Monte-Carlo sample count: ``mc.empirical_mmse`` needs two samples.
+MIN_SAMPLES = 2
 
 
 @dataclass(frozen=True)
@@ -152,6 +154,8 @@ def parse_instance(text: str) -> InstanceSpec:
                 if isinstance(v, bool) or not isinstance(v, int):
                     raise InstanceParseError(f"options.{key} must be an integer, got {v!r}")
                 kwargs[key] = v
+        if "grid" in kwargs and kwargs["grid"] < _bound.MIN_GRID:
+            raise InstanceParseError(f"options.grid must be >= {_bound.MIN_GRID}, got {kwargs['grid']!r}")
         if "unit" in o:
             if o["unit"] not in ("nats", "bits"):
                 raise InstanceParseError(f"options.unit must be 'nats' or 'bits', got {o['unit']!r}")
@@ -163,12 +167,8 @@ def parse_instance(text: str) -> InstanceSpec:
 def serialize_instance(spec: InstanceSpec) -> str:
     """Canonical form: sorted keys, two-space indent, trailing newline."""
     doc = {
-        "model": {
-            "sigma_s2": spec.model.sigma_s2,
-            "sigma_n1_2": spec.model.sigma_n1_2,
-            "sigma_n2_2": spec.model.sigma_n2_2,
-        },
-        "targets": {"d1": spec.targets.d1, "d2": spec.targets.d2, "d0": spec.targets.d0},
+        "model": dataclasses.asdict(spec.model),
+        "targets": dataclasses.asdict(spec.targets),
         "options": dataclasses.asdict(spec.options),
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -227,23 +227,37 @@ def _fmt_value(v: Any) -> str:
 
 
 def _merged_options(spec: InstanceSpec, args: argparse.Namespace) -> Options:
-    opts = spec.options
-    updates: dict[str, Any] = {}
-    if getattr(args, "tol", None) is not None:
-        updates["tol"] = args.tol
-    if getattr(args, "starts", None) is not None:
-        updates["starts"] = args.starts
-    if getattr(args, "grid", None) is not None:
-        updates["grid"] = args.grid
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "bits", False):
+    updates: dict[str, Any] = {
+        key: getattr(args, key)
+        for key in ("tol", "starts", "grid", "seed")
+        if getattr(args, key) is not None
+    }
+    if args.bits:
         updates["unit"] = "bits"
-    return dataclasses.replace(opts, **updates) if updates else opts
+    return dataclasses.replace(spec.options, **updates)
 
 
-def _optimize_options(opts: Options) -> OptimizeOptions:
-    return OptimizeOptions(starts=opts.starts, tol=opts.tol, seed=opts.seed)
+def _seeded_options(
+    model: SourceModel,
+    targets: DistortionTriple,
+    opts: Options,
+    lb: _bound.LowerBoundResult | None = None,
+) -> OptimizeOptions:
+    """Optimizer options, warm-started inside the distortion condition.
+
+    The seed is the matching construction at the argmin of ``lb``, or of a
+    bound at ``opts.grid`` when no bound result is given.  If the bound or
+    the construction fails, the optimizer runs its own multistart unseeded.
+    """
+    warm_start = None
+    if _bound.condition_holds(model, targets):
+        try:
+            if lb is None:
+                lb = _bound.lower_bound(model, targets, grid=opts.grid)
+            warm_start = _equivalence.construct_matching_scheme(model, targets, lb.argmin).params
+        except VceoError:
+            pass
+    return OptimizeOptions(starts=opts.starts, tol=opts.tol, seed=opts.seed, warm_start=warm_start)
 
 
 # ---------------------------------------------------------------------------
@@ -252,22 +266,15 @@ def _optimize_options(opts: Options) -> OptimizeOptions:
 
 def cmd_sum_rate(spec: InstanceSpec, opts: Options, fmt: str, out) -> int:
     bits = opts.unit == "bits"
-    result = _scheme.optimize_sum_rate(spec.model, spec.targets, _optimize_options(opts))
-    p = result.params
+    opt_opts = _seeded_options(spec.model, spec.targets, opts)
+    result = _scheme.optimize_sum_rate(spec.model, spec.targets, opt_opts)
     doc = {
         "command": "sum-rate",
         "unit": opts.unit,
         "sum_rate": _rate(result.breakdown.sum_rate, bits),
         "term_mi_joint": _rate(result.breakdown.term_mi_joint, bits),
         "term_mi_cross": _rate(result.breakdown.term_mi_cross, bits),
-        "params": {
-            "w11": p.w11,
-            "w12": p.w12,
-            "w21": p.w21,
-            "w22": p.w22,
-            "a1": p.a1,
-            "a2": p.a2,
-        },
+        "params": dataclasses.asdict(result.params),
         "achieved_distortions": {
             "delta_1": result.distortions[0],
             "delta_2": result.distortions[1],
@@ -282,20 +289,12 @@ def cmd_lower_bound(spec: InstanceSpec, opts: Options, fmt: str, out) -> int:
     bits = opts.unit == "bits"
     cond = _bound.condition_holds(spec.model, spec.targets)
     result = _bound.lower_bound(spec.model, spec.targets, grid=opts.grid)
-    p = result.argmin
     doc = {
         "command": "lower-bound",
         "unit": opts.unit,
         "lower_bound": _rate(result.value, bits),
         "branch": result.branch.value,
-        "argmin": {
-            "d11": p.d11,
-            "d12": p.d12,
-            "d21": p.d21,
-            "d22": p.d22,
-            "t1": p.t1,
-            "t2": p.t2,
-        },
+        "argmin": dataclasses.asdict(result.argmin),
         "sigma_z": {"sigma_z1_2": result.sigma_z[0], "sigma_z2_2": result.sigma_z[1]},
         "condition_holds": cond,
     }
@@ -320,7 +319,9 @@ def cmd_verify(spec: InstanceSpec, opts: Options, fmt: str, out, identity_tol: f
         return EXIT_OUTSIDE_CONDITION
     lb = _bound.lower_bound(spec.model, spec.targets, grid=opts.grid)
     report = _equivalence.construct_matching_scheme(spec.model, spec.targets, lb.argmin)
-    opt_opts = dataclasses.replace(_optimize_options(opts), warm_start=report.params)
+    opt_opts = OptimizeOptions(
+        starts=opts.starts, tol=opts.tol, seed=opts.seed, warm_start=report.params
+    )
     ach = _scheme.optimize_sum_rate(spec.model, spec.targets, opt_opts)
     rel_gap = abs(ach.breakdown.sum_rate - lb.value) / max(lb.value, 1e-300)
     identity_ok = report.diff <= identity_tol
@@ -363,38 +364,18 @@ def cmd_sweep(
     print(",".join(SWEEP_COLUMNS), file=out)
     for i in range(steps):
         value = start if steps == 1 else start + (stop - start) * i / (steps - 1)
-        fields = {
-            "sigma_s2": spec.model.sigma_s2,
-            "sigma_n1_2": spec.model.sigma_n1_2,
-            "sigma_n2_2": spec.model.sigma_n2_2,
-            "d1": spec.targets.d1,
-            "d2": spec.targets.d2,
-            "d0": spec.targets.d0,
-        }
-        fields[var] = value
-        cond = _bound.distortion_condition(
-            fields["sigma_s2"],
-            fields["sigma_n1_2"],
-            fields["sigma_n2_2"],
-            fields["d1"],
-            fields["d2"],
-            fields["d0"],
-        )
+        fields = {**dataclasses.asdict(spec.model), **dataclasses.asdict(spec.targets), var: value}
+        try:
+            cond = _bound.distortion_condition(**fields)
+        except ZeroDivisionError:  # a zero variance or target forms no instance
+            cond = False
         ach = lb = gap = math.nan
         try:
             model = SourceModel(fields["sigma_s2"], fields["sigma_n1_2"], fields["sigma_n2_2"])
             targets = DistortionTriple(fields["d1"], fields["d2"], fields["d0"])
             _scheme.require_valid_targets(model, targets)
             lb_res = _bound.lower_bound(model, targets, grid=opts.grid)
-            opt_opts = _optimize_options(opts)
-            if cond:
-                # Reuse the bound's matching construction instead of having the
-                # optimizer recompute the bound for its analytic start.
-                try:
-                    report = _equivalence.construct_matching_scheme(model, targets, lb_res.argmin)
-                    opt_opts = dataclasses.replace(opt_opts, warm_start=report.params)
-                except VceoError:
-                    pass
+            opt_opts = _seeded_options(model, targets, opts, lb_res)
             ach_res = _scheme.optimize_sum_rate(model, targets, opt_opts)
             ach, lb = ach_res.breakdown.sum_rate, lb_res.value
             gap = ach - lb
@@ -408,7 +389,8 @@ def cmd_sweep(
 
 
 def cmd_mc_check(spec: InstanceSpec, opts: Options, fmt: str, out, n: int) -> int:
-    result = _scheme.optimize_sum_rate(spec.model, spec.targets, _optimize_options(opts))
+    opt_opts = _seeded_options(spec.model, spec.targets, opts)
+    result = _scheme.optimize_sum_rate(spec.model, spec.targets, opt_opts)
     report = _mc.mc_report(spec.model, result.params, n=n, seed=opts.seed)
     doc: dict[str, Any] = {
         "command": "mc-check",
@@ -474,6 +456,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     out = sys.stdout
     if args.tol is not None and not _valid_tol(args.tol):
         print(f"error: --tol must be finite and >= 0, got {args.tol!r}", file=sys.stderr)
+        return EXIT_PARSE
+    if args.grid is not None and args.grid < _bound.MIN_GRID:
+        print(f"error: --grid must be >= {_bound.MIN_GRID}, got {args.grid!r}", file=sys.stderr)
+        return EXIT_PARSE
+    if args.command == "mc-check" and args.n < MIN_SAMPLES:
+        print(f"error: --n must be >= {MIN_SAMPLES}, got {args.n!r}", file=sys.stderr)
         return EXIT_PARSE
     try:
         spec = load_instance(args.instance)

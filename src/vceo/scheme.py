@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.optimize
 
-from .errors import InfeasibleTargetsError, InvalidParamsError, VceoError
+from .errors import InfeasibleTargetsError, InvalidParamsError
 from .gaussmodel import SourceModel, build_joint_cov, conditional_mi, gaussian_mi
 
 __all__ = [
@@ -50,6 +50,10 @@ __all__ = [
 
 #: Multiplier of sigma_nk2 used as the numerical "description absent" cap.
 W_CAP_FACTOR = 1e8
+#: Nelder-Mead iteration cap of a polish run (the cheap first pass stops at 1200).
+MAXITER = 4000
+#: Weight of the exact penalty on relative distortion violations.
+PENALTY_WEIGHT = 1e4
 
 
 @dataclass(frozen=True)
@@ -372,18 +376,14 @@ def rate_tuple(model: SourceModel, params: SchemeParams, slack: float) -> RateBr
 class OptimizeOptions:
     """Knobs of the multistart sum-rate minimisation.
 
-    ``warm_start`` injects a known-good scheme as the first start;
-    ``analytic_start`` derives one from the converse construction when the
-    distortion condition holds (skipped if a warm start is supplied).
+    ``warm_start`` injects a known-good scheme, such as the matching
+    construction at the converse argmin, as the first start.
     """
 
     starts: int = 16
     tol: float = 1e-7
     seed: int = 0
-    maxiter: int = 4000
-    analytic_start: bool = True
     warm_start: SchemeParams | None = None
-    penalty_weight: float = 1e4
 
 
 @dataclass(frozen=True)
@@ -503,10 +503,6 @@ def _start_vectors(
     starts: list[np.ndarray] = []
     if opts.warm_start is not None:
         starts.append(_vector_from_params(model, opts.warm_start))
-    elif opts.analytic_start:
-        z = _analytic_start(model, targets)
-        if z is not None:
-            starts.append(z)
     for rho in (0.0, 0.5):
         z = _constraint_start(model, targets, rho)
         if z is not None:
@@ -570,21 +566,6 @@ def _constraint_start(
     return _vector_from_params(model, params)
 
 
-def _analytic_start(model: SourceModel, targets: DistortionTriple) -> np.ndarray | None:
-    """Seed from the converse argmin's matching construction, when available."""
-    from .bound import condition_holds, lower_bound  # deferred: bound imports this module's types
-    from .equivalence import construct_matching_scheme
-
-    if not condition_holds(model, targets):
-        return None
-    try:
-        lb = lower_bound(model, targets)
-        report = construct_matching_scheme(model, targets, lb.argmin)
-    except VceoError:
-        return None
-    return _vector_from_params(model, report.params)
-
-
 def optimize_sum_rate(
     model: SourceModel,
     targets: DistortionTriple,
@@ -596,7 +577,9 @@ def optimize_sum_rate(
     variances and box-clipped mixing coordinates for a_k in
     [0, min(sqrt(w_k1 w_k2), n_k)], with an exact penalty on relative
     distortion violations and a monotone shrink restoration step.
-    Deterministic for fixed (inputs, opts.seed).
+    Deterministic for fixed (inputs, opts.seed).  The starts use the
+    targets only; a caller holding a better scheme (inside the distortion
+    condition, the matching construction) passes it as ``opts.warm_start``.
 
     Raises InfeasibleTargetsError when a target sits below the remote MMSE
     floor Var(S | X1, X2).
@@ -612,7 +595,7 @@ def optimize_sum_rate(
                 constraint=name,
             )
 
-    objective = _penalized_objective(model, targets, opts.penalty_weight)
+    objective = _penalized_objective(model, targets, PENALTY_WEIGHT)
 
     def _local(z0: np.ndarray, maxiter: int, xatol: float, fatol: float):
         return scipy.optimize.minimize(
@@ -627,14 +610,14 @@ def optimize_sum_rate(
     # fresh simplex at the incumbent reliably unsticks it.
     phase1 = []
     for z0 in _start_vectors(model, targets, opts):
-        res = _local(z0, min(opts.maxiter, 1200), 1e-7, max(opts.tol * 0.01, 1e-12))
+        res = _local(z0, 1200, 1e-7, max(opts.tol * 0.01, 1e-12))
         phase1.append((float(res.fun), np.asarray(res.x)))
     phase1.sort(key=lambda item: item[0])
     best_val, best_z = phase1[0]
     for _, x0 in phase1[: min(3, len(phase1))]:
-        res = _local(x0, opts.maxiter, 1e-10, max(opts.tol * 1e-5, 1e-13))
+        res = _local(x0, MAXITER, 1e-10, max(opts.tol * 1e-5, 1e-13))
         for _ in range(4):
-            res2 = _local(res.x, opts.maxiter, 1e-10, max(opts.tol * 1e-5, 1e-13))
+            res2 = _local(res.x, MAXITER, 1e-10, max(opts.tol * 1e-5, 1e-13))
             improved = res2.fun < res.fun - 1e-13
             res = res2
             if not improved:

@@ -13,6 +13,7 @@ from vceo import (
     DomainError,
     FRegion,
     InfeasibleTargetsError,
+    InvalidParamsError,
     OptimizeOptions,
     PBranch,
     SourceModel,
@@ -318,6 +319,13 @@ class TestLowerBound:
         assert exc.value.constraint == "d0"
         with pytest.raises(InfeasibleTargetsError):
             lower_bound(UNIT, DistortionTriple(0.3, 0.5, 0.25))
+
+    @pytest.mark.parametrize("grid", [2, 0, -4])
+    def test_grid_below_three_is_invalid(self, grid):
+        # Two points per axis scan only the box corners, which would report
+        # these feasible targets as infeasible.
+        with pytest.raises(InvalidParamsError, match="grid"):
+            lower_bound(UNIT, CANONICAL, grid=grid)
 
 
 class TestCriticalSetStructure:

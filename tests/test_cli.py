@@ -90,7 +90,9 @@ class TestSumRateCommand:
         ach = json.loads(capsys.readouterr().out)
         assert main(["lower-bound", "--instance", canonical, "--output", "json"]) == EXIT_OK
         lb = json.loads(capsys.readouterr().out)
-        assert abs(ach["sum_rate"] - lb["lower_bound"]) / lb["lower_bound"] <= 1e-3
+        # Inside the condition the seed is the matching construction, whose
+        # sum rate equals the bound; the optimizer only polishes it.
+        assert abs(ach["sum_rate"] - lb["lower_bound"]) / lb["lower_bound"] <= 1e-12
         assert lb["lower_bound"] <= ach["sum_rate"] + 1e-9
 
     def test_slack_targets_need_almost_no_rate(self, tmp_path, capsys):
@@ -115,6 +117,18 @@ class TestSumRateCommand:
         path = write_instance(tmp_path, doc)
         assert main(["sum-rate", "--instance", path]) == EXIT_INFEASIBLE
         assert "d0" in capsys.readouterr().err
+
+    def test_seed_comes_from_a_bound_at_the_grid_flag(self, canonical, capsys, monkeypatch):
+        grids = []
+        original = vceo.bound.lower_bound
+
+        def recording(*args, **kwargs):
+            grids.append(kwargs.get("grid"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(vceo.bound, "lower_bound", recording)
+        assert main(["sum-rate", "--instance", canonical, "--grid", "16"]) == EXIT_OK
+        assert grids == [16]
 
     def test_bits_flag_rescales(self, canonical, capsys):
         main(["sum-rate", "--instance", canonical, "--output", "json"])
@@ -178,6 +192,31 @@ class TestToleranceValidation:
         path = write_instance(tmp_path, doc)
         assert main(["verify", "--instance", path]) == EXIT_PARSE
         assert capsys.readouterr().err.startswith("error:")
+
+
+class TestGridValidation:
+    @pytest.mark.parametrize(
+        "command, grid", [("lower-bound", "2"), ("lower-bound", "-4"), ("sum-rate", "0")]
+    )
+    def test_grid_below_three_flag_is_a_parse_error(self, canonical, capsys, command, grid):
+        assert main([command, "--instance", canonical, "--grid", grid]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "--grid" in captured.err
+        assert captured.out == ""
+
+    def test_grid_below_three_instance_option_rejected(self, tmp_path, capsys):
+        doc = dict(CANONICAL_DOC, options={"grid": 2})
+        with pytest.raises(InstanceParseError, match="options.grid"):
+            parse_instance(json.dumps(doc))
+        path = write_instance(tmp_path, doc)
+        assert main(["lower-bound", "--instance", path]) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_smallest_grid_reports_the_bound(self, canonical, capsys):
+        args = ["lower-bound", "--instance", canonical, "--grid", "3", "--output", "json"]
+        assert main(args) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        assert out["lower_bound"] == pytest.approx(4.0312864262549, rel=1e-12)
 
 
 class TestSweepCommand:
@@ -246,6 +285,15 @@ class TestSweepCommand:
         row = capsys.readouterr().out.strip().splitlines()[1].split(",")
         assert row[2] == "nan" and row[5] == "false"
 
+    @pytest.mark.parametrize("var", ["d0", "sigma_n2_2"])
+    def test_zero_valued_points_emit_nan_rows(self, canonical, capsys, var):
+        args = ["sweep", "--instance", canonical, "--var", var]
+        assert main(args + ["--start", "0", "--stop", "0.35", "--steps", "2"]) == EXIT_OK
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 3
+        assert lines[1].split(",") == [var, "0", "nan", "nan", "nan", "false"]
+        assert "nan" not in lines[2]
+
 
 class TestMcCheckCommand:
     def test_pass_and_reproducible(self, canonical, capsys):
@@ -255,6 +303,17 @@ class TestMcCheckCommand:
         assert first["status"] == "PASS"
         assert main(args) == EXIT_OK
         assert json.loads(capsys.readouterr().out) == first
+
+    @pytest.mark.parametrize("n", ["0", "1"])
+    def test_fewer_than_two_samples_is_a_parse_error(self, canonical, capsys, monkeypatch, n):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the optimizer ran before --n was checked")
+
+        monkeypatch.setattr(vceo.scheme, "optimize_sum_rate", forbidden)
+        assert main(["mc-check", "--instance", canonical, "--n", n]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "--n" in captured.err
+        assert captured.out == ""
 
     def test_small_n_remains_well_defined(self, canonical, capsys):
         assert main(

@@ -1,4 +1,5 @@
-"""Module layering of the package: relative imports form an acyclic graph."""
+"""Module layering of the package: relative imports form an acyclic graph,
+all of them at module level."""
 
 import ast
 from pathlib import Path
@@ -6,10 +7,6 @@ from pathlib import Path
 import vceo
 
 PACKAGE = Path(vceo.__file__).resolve().parent
-
-#: The one deferred import left: the optimizer's analytic start calls the
-#: converse bound and the matching construction, which sit above the scheme.
-ALLOWED_LOCAL_IMPORTS = {("scheme", "_analytic_start")}
 
 
 def _imported_modules(node: ast.ImportFrom) -> set[str]:
@@ -73,6 +70,6 @@ def test_module_level_imports_are_acyclic():
             del remaining[module]
 
 
-def test_only_the_analytic_start_imports_locally():
+def test_no_function_local_relative_imports():
     local = {(name, fn) for name, c in _collect().items() for fn in c.local}
-    assert local == ALLOWED_LOCAL_IMPORTS
+    assert not local, f"relative imports inside functions: {sorted(local)}"

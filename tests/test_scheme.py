@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vceo
 from vceo import (
     DistortionTriple,
     InfeasibleTargetsError,
@@ -17,6 +18,7 @@ from vceo import (
     SourceModel,
     build_joint_cov,
     central_distortion,
+    condition_holds,
     conditional_cov,
     conditional_mi,
     full_mmse,
@@ -341,9 +343,7 @@ class TestPenalizedObjective:
 class TestOptimizeSumRate:
     def test_slack_targets_need_almost_no_rate(self):
         targets = DistortionTriple(0.95, 0.95, 0.90)
-        res = optimize_sum_rate(
-            UNIT, targets, OptimizeOptions(starts=4, seed=0, analytic_start=False)
-        )
+        res = optimize_sum_rate(UNIT, targets, OptimizeOptions(starts=4, seed=0))
         assert res.breakdown.sum_rate <= 0.3
 
     def test_canonical_instance_meets_lower_bound(self):
@@ -366,9 +366,22 @@ class TestOptimizeSumRate:
         assert exc.value.constraint == "d0"
         assert full_mmse(UNIT) == pytest.approx(1.0 / 3.0)
 
+    def test_never_calls_the_bound_or_the_construction(self, monkeypatch):
+        # Inside the distortion condition too, seeding is the caller's choice:
+        # the optimizer stands on the targets alone.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("optimize_sum_rate called up into bound or equivalence")
+
+        monkeypatch.setattr(vceo.bound, "lower_bound", forbidden)
+        monkeypatch.setattr(vceo.equivalence, "construct_matching_scheme", forbidden)
+        targets = DistortionTriple(0.4, 0.4, 0.35)
+        assert condition_holds(UNIT, targets)
+        res = optimize_sum_rate(UNIT, targets, OptimizeOptions(starts=4, seed=0))
+        assert res.distortions[2] <= 0.35 * (1.0 + 1e-9)
+
     def test_deterministic_given_seed(self):
         targets = DistortionTriple(0.5, 0.45, 0.4)
-        opts = OptimizeOptions(starts=4, seed=7, analytic_start=False)
+        opts = OptimizeOptions(starts=4, seed=7)
         a = optimize_sum_rate(UNIT, targets, opts)
         b = optimize_sum_rate(UNIT, targets, opts)
         assert a.params == b.params
@@ -383,7 +396,5 @@ class TestOptimizeSumRate:
         ]
         for model, targets in cases:
             lb = lower_bound(model, targets)
-            res = optimize_sum_rate(
-                model, targets, OptimizeOptions(starts=12, seed=5, analytic_start=False)
-            )
+            res = optimize_sum_rate(model, targets, OptimizeOptions(starts=12, seed=5))
             assert abs(res.breakdown.sum_rate - lb.value) / lb.value <= 1e-3
