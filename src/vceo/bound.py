@@ -20,9 +20,10 @@ equalities, central strict, both t pinned to the box floor).  The bound is
 with r_k(d_1, d_2, t, s) = t + (1/2) log[(n_k + s) / ((d_1 + s)(d_2 + s))]
 + (1/2) log(n_k e^{-2t} + s).  The inner sup over the channel variance s >= 0
 reduces to a quadratic stationarity condition; s -> inf contributes the exact
-limit value t as a closed-form candidate.  The outer inf runs on the two
-branch manifolds after eliminating the equality constraints, on a refined
-grid with deterministic first-occurrence tie-breaking.
+limit value t as a closed-form candidate.  The objective is convex in p and
+F is convex, and ``project_to_P`` maps F onto P without raising the
+objective, so the outer inf is one convex program over F: SLSQP in the
+scale-free coordinates (d/n, t), from the best point of a refined grid scan.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ __all__ = [
     "in_F_k",
     "in_F",
     "r_fn",
-    "distortion_condition",
     "condition_holds",
     "in_P",
     "project_to_P",
@@ -136,25 +136,18 @@ def in_F(
     return 1.0 / targets.d0 <= rhs0 * (1.0 + rtol)
 
 
-def distortion_condition(
-    sigma_s2: float, sigma_n1_2: float, sigma_n2_2: float, d1: float, d2: float, d0: float
-) -> bool:
+def condition_holds(model: SourceModel, targets: DistortionTriple) -> bool:
     """The distortion-regime predicate under which the bound is tight:
 
-    1/D_1 + 1/D_2 - max(1/n_1, 1/n_2) - 1/sigma_s2 >= 1/D_0,
-
-    on plain floats, so that it can be evaluated for values that do not
-    form a valid model or target triple.
+    1/D_1 + 1/D_2 - max(1/n_1, 1/n_2) - 1/sigma_s2 >= 1/D_0.
     """
-    lhs = 1.0 / d1 + 1.0 / d2 - max(1.0 / sigma_n1_2, 1.0 / sigma_n2_2) - 1.0 / sigma_s2
-    return lhs >= 1.0 / d0
-
-
-def condition_holds(model: SourceModel, targets: DistortionTriple) -> bool:
-    """``distortion_condition`` of a model and its targets."""
-    return distortion_condition(
-        model.sigma_s2, model.sigma_n1_2, model.sigma_n2_2, targets.d1, targets.d2, targets.d0
+    lhs = (
+        1.0 / targets.d1
+        + 1.0 / targets.d2
+        - max(1.0 / model.sigma_n1_2, 1.0 / model.sigma_n2_2)
+        - 1.0 / model.sigma_s2
     )
+    return lhs >= 1.0 / targets.d0
 
 
 def _r(n, d1, d2, t, s, xp=np):
@@ -303,13 +296,9 @@ def project_to_P(model: SourceModel, targets: DistortionTriple, p: BoundParams) 
             slack = 0.0
         d[key1] = min(d[key1] + slack * n1**2, n1)
         slack = receiver_precision(s2, n1, n2, d[key1], d[key2]) - 1.0 / target
-        d[key2] = d[key2] + max(slack, 0.0) * n2**2
-        if d[key2] > n2 * (1.0 + BOX_RTOL):
-            raise DomainError(
-                f"receiver-{l} equality is unreachable inside the box; targets are "
-                "inconsistent with the admissible set"
-            )
-        d[key2] = min(d[key2], n2)
+        # Past n2 only by roundoff, which grows with n2/n1; the final in_P check
+        # rejects a clamped point that misses the equality.
+        d[key2] = min(d[key2] + max(slack, 0.0) * n2**2, n2)
 
     t1, t2 = p.t1, p.t2
     floor1 = -0.5 * math.log(min(d["d11"], d["d12"]) / n1) if min(d["d11"], d["d12"]) > 0 else math.inf
@@ -333,28 +322,8 @@ def project_to_P(model: SourceModel, targets: DistortionTriple, p: BoundParams) 
     return out
 
 
-def _nm_polish(fun, best_val, best_at, box):
-    """Simplex polish of a grid incumbent, clipped into the branch box."""
-    lo = np.array([b[0] for b in box])
-    hi = np.array([b[1] for b in box])
-
-    def clipped(v: np.ndarray) -> float:
-        return fun(np.clip(v, lo, hi))
-
-    res = scipy.optimize.minimize(
-        clipped,
-        np.array(best_at),
-        method="Nelder-Mead",
-        options={"maxiter": 800, "xatol": 1e-12, "fatol": 1e-14, "adaptive": True},
-    )
-    if math.isfinite(res.fun) and res.fun < best_val:
-        at = np.clip(np.asarray(res.x), lo, hi)
-        return float(res.fun), tuple(float(v) for v in at)
-    return best_val, best_at
-
-
 def _grid_search(evaluate, box, n_pts: int, refine: int):
-    """Grid minimum of ``evaluate`` over an N-axis box, refined, then polished.
+    """Grid minimum of ``evaluate`` over an N-axis box, refined.
 
     ``evaluate(*axes)`` returns the objective on the outer product of the
     axes (inf where infeasible).  Each of the ``refine`` extra passes shrinks
@@ -377,15 +346,39 @@ def _grid_search(evaluate, box, n_pts: int, refine: int):
             np.linspace(max(lo, c - sp / 2), min(hi, c + sp / 2), n_pts)
             for (lo, hi), c, sp in zip(box, best_at, span)
         ]
-    # The grid minimum overestimates the infimum; a simplex polish on the
-    # manifold coordinates removes the residual so weak duality holds to
-    # the stated 1e-9 slack against near-optimal schemes.
-    return _nm_polish(lambda v: evaluate(*v[:, None]).item(), best, best_at, box)
+    return best, best_at
+
+
+def _sup_r_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
+    """sup_s r_1 + sup_s r_2 at x = (y_11, y_12, y_21, y_22, t_1, t_2), with y = d/n,
+    and its Danskin gradient: the gradient of r at the maximising s.
+
+    With sigma = s/n, r no longer depends on n, so both encoders are one
+    call of ``_sup_candidates`` at n = 1.
+    """
+    y1, y2, t = x[[0, 2]], x[[1, 3]], x[4:]
+    s_vals, r_vals = _sup_candidates(1.0, y1, y2, t)
+    r = np.array(r_vals)
+    k = np.argmax(r, axis=0)
+    sigma = np.choose(k, s_vals)
+    finite = np.isfinite(sigma)
+    s = np.where(finite, sigma, 0.0)
+    grad = np.empty(6)
+    grad[[0, 2]] = np.where(finite, -0.5 / (y1 + s), 0.0)
+    grad[[1, 3]] = np.where(finite, -0.5 / (y2 + s), 0.0)
+    grad[4:] = np.where(finite, s / (np.exp(-2.0 * t) + s), 1.0)
+    return float(r.max(axis=0).sum()), grad
 
 
 @dataclass(frozen=True)
 class LowerBoundResult:
-    """Value and argmin of the sum-rate lower bound."""
+    """Value and argmin of the sum-rate lower bound.
+
+    ``branch_values`` maps P1 to the value of the convex program and P2 to
+    that of its relaxation without the central constraint, where both t fall
+    to the box floor: the P2 branch's infimum when the relaxation's minimiser
+    meets the central constraint, and a lower bound on it otherwise.
+    """
 
     value: float
     argmin: BoundParams
@@ -400,13 +393,18 @@ def lower_bound(
     grid: int = 64,
     refine: int = 2,
 ) -> LowerBoundResult:
-    """Infimum of the bound objective over the critical manifold.
+    """Infimum of the bound objective over the critical manifold, as one convex solve.
 
-    Branch P1 is parametrised by (d_11, d_12, t_1) with the other three
-    coordinates eliminated through the three equalities; branch P2 by
-    (d_11, d_12) with both t pinned to the box floor.  Each branch runs a
-    ``grid``-point-per-axis scan with ``refine`` passes shrinking the window
-    8x around the incumbent; the reported value is the better branch.
+    The objective sup_s r_1 + sup_s r_2 is convex in p, and so is the
+    admissible set F, whose infimum equals the one over P (``project_to_P``
+    maps F onto P without raising the objective).  SLSQP minimises it over F
+    in the scale-free coordinates (d/n, t), from the best point of a
+    ``grid`` x ``grid`` scan over (d_11, d_12) with ``refine`` passes that
+    shrink the window 8x around the incumbent; the scan puts d_21, d_22 on the
+    receiver equalities and e^{-2t} on the box floor, scaled down by one
+    common factor until the central constraint holds.  The solver's point is
+    projected onto P (mixed with the start until it projects), and ``in_P``
+    names the branch.
 
     Raises InfeasibleTargetsError when the critical manifold is empty (a
     target below the remote MMSE floor), naming the violated constraint, and
@@ -417,122 +415,106 @@ def lower_bound(
         raise InvalidParamsError(f"grid must be >= {MIN_GRID}, got {grid!r}")
     require_valid_targets(model, targets)
     s2, n1, n2 = model.sigma_s2, model.sigma_n1_2, model.sigma_n2_2
-    c1 = receiver_precision(s2, n1, n2, 0.0, 0.0) - 1.0 / targets.d1
-    c2 = receiver_precision(s2, n1, n2, 0.0, 0.0) - 1.0 / targets.d2
-    c0 = 1.0 / targets.d0 - 1.0 / s2
-    for name, c in (("d1", c1), ("d2", c2)):
-        if c < 0.0:
+    # Precision each receiver must gain over the prior: (1 - d_1l/n_1)/n_1
+    # + (1 - d_2l/n_2)/n_2 >= q_l, and likewise with e^{-2t} for the central one.
+    q = np.array([1.0 / targets.d1, 1.0 / targets.d2, 1.0 / targets.d0]) - 1.0 / s2
+    for name, need in zip(("d1", "d2", "d0"), q):
+        if need > 1.0 / n1 + 1.0 / n2:
             raise InfeasibleTargetsError(
                 f"target {name} is below the remote MMSE floor; the admissible set is empty",
                 constraint=name,
             )
-    if c0 > 1.0 / n1 + 1.0 / n2:
-        raise InfeasibleTargetsError(
-            "central target d0 is below the remote MMSE floor; the admissible set is empty",
-            constraint="d0",
-        )
     const = 0.5 * math.log(s2 * s2 / (targets.d1 * targets.d2))
 
-    x_lo = max(0.0, n1 * n1 * (c1 - 1.0 / n2))
-    x_hi = min(n1, n1 * n1 * c1)
-    y_lo = max(0.0, n1 * n1 * (c2 - 1.0 / n2))
-    y_hi = min(n1, n1 * n1 * c2)
-    if x_hi < x_lo or y_hi < y_lo:
-        raise InfeasibleTargetsError(
-            "individual-receiver equalities cannot be met inside the box",
-            constraint="d1" if x_hi < x_lo else "d2",
-        )
+    def lift_t(y11, y12, y21, y22, u1=1.0, u2=1.0):
+        """(t_1, t_2) from e^{-2t} = u, with u capped at the box floors min(y)
+        and then scaled down by one common factor until the central constraint holds."""
+        u1, u2 = np.minimum(u1, np.minimum(y11, y12)), np.minimum(u2, np.minimum(y21, y22))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scale = np.minimum(1.0, (1.0 / n1 + 1.0 / n2 - q[2]) / (u1 / n1 + u2 / n2))
+            return -0.5 * np.log(scale * u1), -0.5 * np.log(scale * u2)
 
-    def d2_of(x: np.ndarray, c: float) -> np.ndarray:
-        return n2 * n2 * (c - x / (n1 * n1))
+    def complete(y11, y12):
+        """The scan's point at (y_11, y_12): d_21, d_22 on the receiver equalities."""
+        y21 = np.clip(1.0 - n2 * (q[0] - (1.0 - y11) / n1), 0.0, 1.0)
+        y22 = np.clip(1.0 - n2 * (q[1] - (1.0 - y12) / n1), 0.0, 1.0)
+        return (y21, y22) + lift_t(y11, y12, y21, y22)
 
-    def p1_map(x, y, tau):
-        """Branch P1 at (d_11, d_12, tau): (d_21, d_22, u_1, u_2, feasible).
+    def scan(ys1: np.ndarray, ys2: np.ndarray) -> np.ndarray:
+        y11, y12 = ys1[:, None], ys2[None, :]
+        y21, y22, t1, t2 = complete(y11, y12)
+        with np.errstate(invalid="ignore"):
+            obj = _sup_r_vec(1.0, y11, y12, t1) + _sup_r_vec(1.0, y21, y22, t2)
+        return np.where(np.isfinite(obj), obj, np.inf)
 
-        u_1 = lo + (hi - lo) tau spans the central equality's admissible
-        range given the box floors, and u_2 solves the central equality.
-        """
-        d21 = d2_of(x, c1)
-        d22 = d2_of(y, c2)
-        m1 = np.minimum(x, y)
-        m2 = np.minimum(d21, d22)
-        lo = np.maximum.reduce(
-            [
-                np.full_like(m2, 1e-14),
-                np.full_like(m2, 1.0 - n1 * c0),
-                1.0 - (n1 / n2) * (m2 / n2 - 1.0 + n2 * c0),
-            ]
-        )
-        hi = np.minimum(1.0, m1 / n1)
-        u1 = lo + (hi - lo) * tau
-        u2 = 1.0 - n2 * (c0 - (1.0 - u1) / n1)
-        feasible = (
-            (hi >= lo)
-            & (u2 > 0.0)
-            & (u2 <= 1.0 + 1e-12)
-            & (n2 * u2 <= m2 * (1.0 + 1e-12))
-            & (n1 * u1 <= m1 * (1.0 + 1e-12))
-        )
-        return d21, d22, u1, u2, feasible
-
-    def p2_map(x, y):
-        """Branch P2 at (d_11, d_12): (d_21, d_22, u_1, u_2), both t on the box floor."""
-        d21 = d2_of(x, c1)
-        d22 = d2_of(y, c2)
-        return d21, d22, np.minimum(x, y) / n1, np.minimum(d21, d22) / n2
-
-    def eval_p1(xs: np.ndarray, ys: np.ndarray, taus: np.ndarray) -> np.ndarray:
-        x = xs[:, None, None]
-        y = ys[None, :, None]
-        d21, d22, u1, u2, feasible = p1_map(x, y, taus[None, None, :])
-        t1 = -0.5 * np.log(np.clip(u1, 1e-300, 1.0))
-        t2 = -0.5 * np.log(np.clip(u2, 1e-300, 1.0))
-        obj = _sup_r_vec(n1, x, y, t1) + _sup_r_vec(n2, d21, d22, t2)
-        return np.where(feasible, obj, np.inf)
-
-    def eval_p2(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        x = xs[:, None]
-        y = ys[None, :]
-        d21, d22, u1, u2 = p2_map(x, y)
-        ok = (u1 > 0.0) & (u2 > 0.0)
-        u1c = np.clip(u1, 1e-300, 1.0)
-        u2c = np.clip(u2, 1e-300, 1.0)
-        t1 = -0.5 * np.log(u1c)
-        t2 = -0.5 * np.log(u2c)
-        ok = ok & (central_precision(s2, n1, n2, u1c, u2c) > 1.0 / targets.d0)
-        obj = _sup_r_vec(n1, x, y, t1) + _sup_r_vec(n2, d21, d22, t2)
-        return np.where(ok, obj, np.inf)
-
-    n_pts = int(grid)
-    # Branch P1 over (d_11, d_12, tau); branch P2 over (d_11, d_12).
-    best_p1, best_p1_at = _grid_search(
-        eval_p1, ((x_lo, x_hi), (y_lo, y_hi), (0.0, 1.0)), n_pts, refine
-    )
-    best_p2, best_p2_at = _grid_search(eval_p2, ((x_lo, x_hi), (y_lo, y_hi)), n_pts, refine)
-
-    branch_values = {PBranch.P1: best_p1 + const, PBranch.P2: best_p2 + const}
-    if not math.isfinite(min(best_p1, best_p2)):
+    box = [(max(0.0, 1.0 - n1 * need), min(1.0, 1.0 - n1 * need + n1 / n2)) for need in q[:2]]
+    best, best_at = _grid_search(scan, box, int(grid), refine)
+    if not math.isfinite(best):
         raise InfeasibleTargetsError(
             "the critical manifold is empty for these targets", constraint="d0"
         )
+    x0 = np.array(best_at + tuple(float(v) for v in complete(*best_at)))
 
-    if best_p1 <= best_p2:
-        branch = PBranch.P1
-        x, y, tau = best_p1_at
-        d21, d22, u1, u2, _ = p1_map(np.array(x), np.array(y), np.array(tau))
-    else:
-        branch = PBranch.P2
-        x, y = best_p2_at
-        d21, d22, u1, u2 = p2_map(np.array(x), np.array(y))
-    t1, t2 = (-0.5 * math.log(u) if u > 0.0 else math.inf for u in (float(u1), float(u2)))
-    argmin = BoundParams(x, y, float(d21), float(d22), t1, t2)
+    # Constraints >= 0, each scaled to O(1): the receiver gains over their
+    # targets (linear), the box floors log y + 2t, and the central gain.
+    gain = np.array([[1.0 / n1, 0.0, 1.0 / n2, 0.0], [0.0, 1.0 / n1, 0.0, 1.0 / n2]]) / q[:2, None]
+    gain0 = np.array([1.0 / n1, 1.0 / n2]) / q[2]
+    pick_t = np.repeat(np.eye(2), 2, axis=0)
+    receivers_and_floors = {
+        "type": "ineq",
+        "fun": lambda x: np.r_[gain @ (1.0 - x[:4]) - 1.0, np.log(x[:4]) + 2.0 * pick_t @ x[4:]],
+        "jac": lambda x: np.block([[-gain, np.zeros((2, 2))], [np.diag(1.0 / x[:4]), 2.0 * pick_t]]),
+    }
+    central = {
+        "type": "ineq",
+        "fun": lambda x: -np.expm1(-2.0 * x[4:]) @ gain0 - 1.0,
+        "jac": lambda x: np.r_[np.zeros(4), 2.0 * np.exp(-2.0 * x[4:]) * gain0],
+    }
 
-    sz1, _ = sup_sigma_z(n1, argmin.d11, argmin.d12, argmin.t1)
-    sz2, _ = sup_sigma_z(n2, argmin.d21, argmin.d22, argmin.t2)
+    def solve(x_start: np.ndarray, constraints: list) -> np.ndarray:
+        # y stays off 0, where log y is -inf; the box floor keeps the minimiser above it anyway.
+        return scipy.optimize.minimize(
+            _sup_r_grad,
+            x_start,
+            jac=True,
+            method="SLSQP",
+            bounds=[(1e-300, 1.0)] * 4 + [(0.0, None)] * 2,
+            constraints=constraints,
+            options={"maxiter": 200, "ftol": 1e-15},
+        ).x
+
+    def params_of(x: np.ndarray) -> BoundParams:
+        """A point of F near x: y clipped into [0, 1] and t lifted onto F."""
+        y = np.clip(x[:4], 0.0, 1.0)
+        t1, t2 = lift_t(*y, *np.exp(-2.0 * x[4:]))
+        return BoundParams(n1 * y[0], n1 * y[1], n2 * y[2], n2 * y[3], t1, t2)
+
+    x = solve(x0, [receivers_and_floors, central])
+    try:
+        argmin = project_to_P(model, targets, params_of(x))
+    except (DomainError, InvalidParamsError):
+        # Keep the mix with the start nearest x that projects (F is convex).
+        argmin, lo, hi = project_to_P(model, targets, params_of(x0)), 0.0, 1.0
+        for _ in range(40):
+            mid = 0.5 * (lo + hi)
+            try:
+                argmin = project_to_P(model, targets, params_of(mid * x + (1.0 - mid) * x0))
+                lo = mid
+            except (DomainError, InvalidParamsError):
+                hi = mid
+    branch = in_P(model, targets, argmin)
+    sz1, v1 = sup_sigma_z(n1, argmin.d11, argmin.d12, argmin.t1)
+    sz2, v2 = sup_sigma_z(n2, argmin.d21, argmin.d22, argmin.t2)
+    value = v1 + v2 + const
+    relaxed = value
+    if branch is PBranch.P1:
+        y = np.array([argmin.d11 / n1, argmin.d12 / n1, argmin.d21 / n2, argmin.d22 / n2])
+        t_floor = -0.5 * np.log(np.minimum(y[[0, 2]], y[[1, 3]]))
+        relaxed = _sup_r_grad(solve(np.r_[y, t_floor], [receivers_and_floors]))[0] + const
     return LowerBoundResult(
-        value=branch_values[branch],
+        value=value,
         argmin=argmin,
         branch=branch,
         sigma_z=(sz1, sz2),
-        branch_values=branch_values,
+        branch_values={PBranch.P1: value, PBranch.P2: relaxed},
     )

@@ -38,7 +38,7 @@ from . import mc as _mc
 from . import scheme as _scheme
 from .errors import InfeasibleTargetsError, InstanceParseError, InvalidParamsError, VceoError
 from .gaussmodel import SourceModel
-from .scheme import DistortionTriple, OptimizeOptions
+from .scheme import DistortionTriple, OptimizeOptions, OptimizeResult
 
 __all__ = ["InstanceSpec", "Options", "parse_instance", "serialize_instance", "main"]
 
@@ -61,6 +61,8 @@ SWEEP_VARS = ("d0", "d1", "d2", "sigma_s2", "sigma_n1_2", "sigma_n2_2")
 LN2 = math.log(2.0)
 #: Smallest Monte-Carlo sample count: ``mc.empirical_mmse`` needs two samples.
 MIN_SAMPLES = 2
+#: Smallest value of each integer option that has one.
+OPTION_MINIMUMS = {"starts": 1, "grid": _bound.MIN_GRID}
 
 
 @dataclass(frozen=True)
@@ -154,8 +156,9 @@ def parse_instance(text: str) -> InstanceSpec:
                 if isinstance(v, bool) or not isinstance(v, int):
                     raise InstanceParseError(f"options.{key} must be an integer, got {v!r}")
                 kwargs[key] = v
-        if "grid" in kwargs and kwargs["grid"] < _bound.MIN_GRID:
-            raise InstanceParseError(f"options.grid must be >= {_bound.MIN_GRID}, got {kwargs['grid']!r}")
+        for key, low in OPTION_MINIMUMS.items():
+            if key in kwargs and kwargs[key] < low:
+                raise InstanceParseError(f"options.{key} must be >= {low}, got {kwargs[key]!r}")
         if "unit" in o:
             if o["unit"] not in ("nats", "bits"):
                 raise InstanceParseError(f"options.unit must be 'nats' or 'bits', got {o['unit']!r}")
@@ -237,27 +240,37 @@ def _merged_options(spec: InstanceSpec, args: argparse.Namespace) -> Options:
     return dataclasses.replace(spec.options, **updates)
 
 
-def _seeded_options(
+def _achievable(
     model: SourceModel,
     targets: DistortionTriple,
     opts: Options,
     lb: _bound.LowerBoundResult | None = None,
-) -> OptimizeOptions:
-    """Optimizer options, warm-started inside the distortion condition.
+    report: _equivalence.EquivalenceReport | None = None,
+) -> OptimizeResult:
+    """The achievable scheme of ``sum-rate``, ``sweep``, ``mc-check`` and ``verify``.
 
-    The seed is the matching construction at the argmin of ``lb``, or of a
-    bound at ``opts.grid`` when no bound result is given.  If the bound or
-    the construction fails, the optimizer runs its own multistart unseeded.
+    Inside the distortion condition it is the matching construction ``report``,
+    built at the argmin of ``lb`` (a bound at ``opts.grid`` when no bound is
+    given).  The construction is returned as is when it meets the targets,
+    since the bound says no scheme does better, and seeds the optimizer
+    otherwise.  If the bound or the construction fails, and outside the
+    condition, the optimizer runs its multistart unseeded.
     """
     warm_start = None
     if _bound.condition_holds(model, targets):
         try:
-            if lb is None:
-                lb = _bound.lower_bound(model, targets, grid=opts.grid)
-            warm_start = _equivalence.construct_matching_scheme(model, targets, lb.argmin).params
+            if report is None:
+                if lb is None:
+                    lb = _bound.lower_bound(model, targets, grid=opts.grid)
+                report = _equivalence.construct_matching_scheme(model, targets, lb.argmin)
+            if _scheme._is_feasible(model, targets, report.params):
+                breakdown = _scheme.sum_rate(model, report.params)
+                return OptimizeResult(report.params, breakdown, report.distortions)
+            warm_start = report.params
         except VceoError:
             pass
-    return OptimizeOptions(starts=opts.starts, tol=opts.tol, seed=opts.seed, warm_start=warm_start)
+    seeded = OptimizeOptions(opts.starts, opts.tol, opts.seed, warm_start)
+    return _scheme.optimize_sum_rate(model, targets, seeded)
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +279,7 @@ def _seeded_options(
 
 def cmd_sum_rate(spec: InstanceSpec, opts: Options, fmt: str, out) -> int:
     bits = opts.unit == "bits"
-    opt_opts = _seeded_options(spec.model, spec.targets, opts)
-    result = _scheme.optimize_sum_rate(spec.model, spec.targets, opt_opts)
+    result = _achievable(spec.model, spec.targets, opts)
     doc = {
         "command": "sum-rate",
         "unit": opts.unit,
@@ -319,10 +331,7 @@ def cmd_verify(spec: InstanceSpec, opts: Options, fmt: str, out, identity_tol: f
         return EXIT_OUTSIDE_CONDITION
     lb = _bound.lower_bound(spec.model, spec.targets, grid=opts.grid)
     report = _equivalence.construct_matching_scheme(spec.model, spec.targets, lb.argmin)
-    opt_opts = OptimizeOptions(
-        starts=opts.starts, tol=opts.tol, seed=opts.seed, warm_start=report.params
-    )
-    ach = _scheme.optimize_sum_rate(spec.model, spec.targets, opt_opts)
+    ach = _achievable(spec.model, spec.targets, opts, lb, report)
     rel_gap = abs(ach.breakdown.sum_rate - lb.value) / max(lb.value, 1e-300)
     identity_ok = report.diff <= identity_tol
     equality_ok = rel_gap <= 1e-3
@@ -365,18 +374,15 @@ def cmd_sweep(
     for i in range(steps):
         value = start if steps == 1 else start + (stop - start) * i / (steps - 1)
         fields = {**dataclasses.asdict(spec.model), **dataclasses.asdict(spec.targets), var: value}
-        try:
-            cond = _bound.distortion_condition(**fields)
-        except ZeroDivisionError:  # a zero variance or target forms no instance
-            cond = False
+        cond = False  # a row that forms no valid instance is outside the condition
         ach = lb = gap = math.nan
         try:
             model = SourceModel(fields["sigma_s2"], fields["sigma_n1_2"], fields["sigma_n2_2"])
             targets = DistortionTriple(fields["d1"], fields["d2"], fields["d0"])
             _scheme.require_valid_targets(model, targets)
+            cond = _bound.condition_holds(model, targets)
             lb_res = _bound.lower_bound(model, targets, grid=opts.grid)
-            opt_opts = _seeded_options(model, targets, opts, lb_res)
-            ach_res = _scheme.optimize_sum_rate(model, targets, opt_opts)
+            ach_res = _achievable(model, targets, opts, lb_res)
             ach, lb = ach_res.breakdown.sum_rate, lb_res.value
             gap = ach - lb
         except VceoError:
@@ -389,8 +395,7 @@ def cmd_sweep(
 
 
 def cmd_mc_check(spec: InstanceSpec, opts: Options, fmt: str, out, n: int) -> int:
-    opt_opts = _seeded_options(spec.model, spec.targets, opts)
-    result = _scheme.optimize_sum_rate(spec.model, spec.targets, opt_opts)
+    result = _achievable(spec.model, spec.targets, opts)
     report = _mc.mc_report(spec.model, result.params, n=n, seed=opts.seed)
     doc: dict[str, Any] = {
         "command": "mc-check",
@@ -426,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--instance", required=True, help="path to the JSON instance file")
         p.add_argument("--tol", type=float, default=None, help="primary tolerance of the command")
         p.add_argument("--starts", type=int, default=None, help="multistart count")
-        p.add_argument("--grid", type=int, default=None, help="grid points per free dimension")
+        p.add_argument("--grid", type=int, default=None, help="bound's starting-scan points per axis")
         p.add_argument("--seed", type=int, default=None, help="random seed")
         p.add_argument("--bits", action="store_true", help="render rates in bits")
         p.add_argument(
@@ -457,9 +462,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.tol is not None and not _valid_tol(args.tol):
         print(f"error: --tol must be finite and >= 0, got {args.tol!r}", file=sys.stderr)
         return EXIT_PARSE
-    if args.grid is not None and args.grid < _bound.MIN_GRID:
-        print(f"error: --grid must be >= {_bound.MIN_GRID}, got {args.grid!r}", file=sys.stderr)
-        return EXIT_PARSE
+    for key, low in OPTION_MINIMUMS.items():
+        value = getattr(args, key)
+        if value is not None and value < low:
+            print(f"error: --{key} must be >= {low}, got {value!r}", file=sys.stderr)
+            return EXIT_PARSE
     if args.command == "mc-check" and args.n < MIN_SAMPLES:
         print(f"error: --n must be >= {MIN_SAMPLES}, got {args.n!r}", file=sys.stderr)
         return EXIT_PARSE

@@ -514,7 +514,7 @@ def _start_vectors(
         starts.append(
             np.concatenate([log_n + rng.uniform(-5.0, 5.0, 4), rng.uniform(0.0, 0.8, 2)])
         )
-    return starts[: max(opts.starts, 2)]
+    return starts[: opts.starts]
 
 
 def _vector_from_params(model: SourceModel, p: SchemeParams) -> np.ndarray:
@@ -582,9 +582,11 @@ def optimize_sum_rate(
     condition, the matching construction) passes it as ``opts.warm_start``.
 
     Raises InfeasibleTargetsError when a target sits below the remote MMSE
-    floor Var(S | X1, X2).
+    floor Var(S | X1, X2), and InvalidParamsError for ``opts.starts < 1``.
     """
     opts = opts or OptimizeOptions()
+    if opts.starts < 1:
+        raise InvalidParamsError(f"starts must be >= 1, got {opts.starts!r}")
     require_valid_targets(model, targets)
     floor = full_mmse(model)
     for name, target in (("d1", targets.d1), ("d2", targets.d2), ("d0", targets.d0)):

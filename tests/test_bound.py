@@ -27,6 +27,7 @@ from vceo import (
     sum_rate,
     sup_sigma_z,
 )
+import vceo.bound
 from vceo.bound import _sup_r_vec, in_F
 
 from conftest import (
@@ -39,6 +40,18 @@ from conftest import (
 
 UNIT = SourceModel(1.0, 1.0, 1.0)
 CANONICAL = DistortionTriple(0.4, 0.4, 0.35)
+
+# Values of the earlier search (3 x 64^3 grid plus a simplex polish per branch)
+# on the named benchmark instances: (model, targets, value).  That search
+# approached the infimum from above, so the convex solve may only be lower.
+GRID_SEARCH_VALUES = [
+    ((1.0, 1.0, 1.0), (0.4, 0.4, 0.35), 4.031286426254964),
+    ((1.0, 1.0, 1.0), (0.4, 0.4, 0.39999), 3.688879454113936),
+    ((1.0, 1.0, 1.0), (0.34, 0.34, 0.3399), 8.131530710604244),
+    ((1.0, 0.3, 3.0), (0.225, 0.225, 0.222), 5.99146454710798),
+    ((1.0, 0.3, 3.0), (0.5, 0.3, 0.25), 2.107634916436175),
+    ((1.0, 1.0, 1.0), (0.6, 0.6, 0.4), 1.8971199848858809),
+]
 
 
 def random_F_k_triple(rng, sigma_n2):
@@ -319,6 +332,68 @@ class TestLowerBound:
         assert exc.value.constraint == "d0"
         with pytest.raises(InfeasibleTargetsError):
             lower_bound(UNIT, DistortionTriple(0.3, 0.5, 0.25))
+
+    @pytest.mark.parametrize("model, targets, value", GRID_SEARCH_VALUES)
+    def test_no_worse_than_the_grid_search(self, model, targets, value):
+        lb = lower_bound(SourceModel(*model), DistortionTriple(*targets))
+        assert value * (1.0 - 1e-9) <= lb.value <= value * (1.0 + 1e-12)
+
+    def test_no_admissible_point_beats_the_bound(self, rng):
+        # The value is the infimum over F, not only over the critical manifold.
+        for _ in range(5):
+            model = random_model(rng)
+            targets = random_feasible_targets(rng, model)
+            lb = lower_bound(model, targets)
+            const = 0.5 * math.log(model.sigma_s2**2 / (targets.d1 * targets.d2))
+            for _ in range(40):
+                p = sample_F_point(rng, model, targets)
+                value = const + sum(
+                    sup_sigma_z(model.noise_var(k), *p.encoder(k))[1] for k in (1, 2)
+                )
+                assert value >= lb.value - 1e-12 * abs(lb.value)
+
+    @pytest.mark.parametrize(
+        "noise, targets",
+        [
+            ((0.01, 100.0), (0.5, 0.5, 0.2)),
+            ((0.01, 100.0), (0.3, 0.6, 0.25)),
+            ((1e-3, 1e3), (0.5, 0.5, 0.2)),
+            ((1e-3, 1e3), (0.6, 0.7, 0.35)),
+        ],
+    )
+    def test_extreme_variance_ratios_give_a_critical_argmin(self, noise, targets):
+        # Roundoff that grows with n2/n1 used to leave t2 or d slightly
+        # outside the box when the argmin was rebuilt.
+        model, targets = SourceModel(1.0, *noise), DistortionTriple(*targets)
+        lb = lower_bound(model, targets)
+        assert math.isfinite(lb.value)
+        assert in_P(model, targets, lb.argmin) is lb.branch
+
+    @pytest.mark.parametrize(
+        "targets, value", [((0.3, 0.6, 0.25), 0.857549243754), ((0.5, 0.5, 0.1), 0.693597390254)]
+    )
+    def test_extreme_variance_ratio_values(self, targets, value):
+        model, targets = SourceModel(1.0, 1e-4, 1e4), DistortionTriple(*targets)
+        lb = lower_bound(model, targets)
+        assert lb.value == pytest.approx(value, rel=1e-7)
+        assert in_P(model, targets, lb.argmin) is lb.branch
+
+    def test_solver_point_that_does_not_project_falls_back_to_a_mix(self, monkeypatch):
+        reference = lower_bound(UNIT, CANONICAL).value
+        original = vceo.bound.project_to_P
+        calls = []
+
+        def first_rejected(model, targets, p):
+            calls.append(p)
+            if len(calls) == 1:
+                raise DomainError("rejected for the test")
+            return original(model, targets, p)
+
+        monkeypatch.setattr(vceo.bound, "project_to_P", first_rejected)
+        lb = lower_bound(UNIT, CANONICAL)
+        assert len(calls) > 2
+        assert in_P(UNIT, CANONICAL, lb.argmin) is lb.branch
+        assert reference * (1.0 - 1e-12) <= lb.value <= reference * (1.0 + 1e-9)
 
     @pytest.mark.parametrize("grid", [2, 0, -4])
     def test_grid_below_three_is_invalid(self, grid):

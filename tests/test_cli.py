@@ -219,6 +219,70 @@ class TestGridValidation:
         assert out["lower_bound"] == pytest.approx(4.0312864262549, rel=1e-12)
 
 
+class TestStartsValidation:
+    @pytest.mark.parametrize("starts", ["0", "-3"])
+    def test_fewer_than_one_start_flag_is_a_parse_error(self, canonical, capsys, starts):
+        assert main(["sum-rate", "--instance", canonical, "--starts", starts]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "--starts" in captured.err
+        assert captured.out == ""
+
+    def test_fewer_than_one_start_instance_option_rejected(self, tmp_path, capsys):
+        doc = dict(CANONICAL_DOC, options={"starts": 0})
+        with pytest.raises(InstanceParseError, match="options.starts"):
+            parse_instance(json.dumps(doc))
+        path = write_instance(tmp_path, doc)
+        assert main(["sum-rate", "--instance", path]) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_one_start_runs(self, tmp_path, capsys):
+        doc = {"model": CANONICAL_DOC["model"], "targets": {"d1": 0.6, "d2": 0.6, "d0": 0.4}}
+        path = write_instance(tmp_path, doc)
+        assert main(["sum-rate", "--instance", path, "--starts", "1", "--output", "json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["achieved_distortions"]["delta_0"] <= 0.4 + 1e-9
+
+
+class TestConstructionIsTheAnswer:
+    """Inside the distortion condition the matching construction is the achievable scheme."""
+
+    SWEEP = ["--var", "d0", "--start", "0.34", "--stop", "0.36", "--steps", "2"]
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("verify", []), ("sum-rate", []), ("mc-check", ["--n", "20000"]), ("sweep", SWEEP)],
+    )
+    def test_optimizer_never_runs(self, canonical, capsys, monkeypatch, command, extra):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the optimizer ran although the construction meets the targets")
+
+        monkeypatch.setattr(vceo.scheme, "optimize_sum_rate", forbidden)
+        assert main([command, "--instance", canonical] + extra) == EXIT_OK
+        assert "nan" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["verify", "sum-rate"])
+    def test_infeasible_construction_seeds_the_optimizer(
+        self, canonical, capsys, monkeypatch, command
+    ):
+        # The first feasibility check is the CLI's, on the construction.
+        feasible = vceo.scheme._is_feasible
+        checks, seeds = [], []
+        optimize = vceo.scheme.optimize_sum_rate
+
+        def first_check_fails(*args, **kwargs):
+            checks.append(args)
+            return len(checks) > 1 and feasible(*args, **kwargs)
+
+        def recording(model, targets, opts):
+            seeds.append(opts.warm_start)
+            return optimize(model, targets, opts)
+
+        monkeypatch.setattr(vceo.scheme, "_is_feasible", first_check_fails)
+        monkeypatch.setattr(vceo.scheme, "optimize_sum_rate", recording)
+        assert main([command, "--instance", canonical]) == EXIT_OK
+        assert len(seeds) == 1 and seeds[0] is not None
+        assert seeds[0] == checks[0][2]
+
+
 class TestSweepCommand:
     def test_header_and_condition_column(self, canonical, capsys):
         code = main(
@@ -293,6 +357,16 @@ class TestSweepCommand:
         assert len(lines) == 3
         assert lines[1].split(",") == [var, "0", "nan", "nan", "nan", "false"]
         assert "nan" not in lines[2]
+
+
+    @pytest.mark.parametrize("var, value", [("sigma_n1_2", "-0.5"), ("sigma_s2", "-1"), ("d1", "0.2")])
+    def test_rows_that_form_no_instance_are_outside_the_condition(
+        self, canonical, capsys, var, value
+    ):
+        args = ["sweep", "--instance", canonical, "--var", var, "--start", value]
+        assert main(args + ["--stop", value, "--steps", "1"]) == EXIT_OK
+        row = capsys.readouterr().out.strip().splitlines()[1].split(",")
+        assert row[2:] == ["nan", "nan", "nan", "false"]
 
 
 class TestMcCheckCommand:

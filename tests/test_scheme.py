@@ -36,6 +36,7 @@ from vceo.scheme import (
     _distortions,
     _params_from_vector,
     _penalized_objective,
+    _start_vectors,
     _sum_rate_closed,
 )
 
@@ -378,6 +379,17 @@ class TestOptimizeSumRate:
         assert condition_holds(UNIT, targets)
         res = optimize_sum_rate(UNIT, targets, OptimizeOptions(starts=4, seed=0))
         assert res.distortions[2] <= 0.35 * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("starts", [0, -3])
+    def test_fewer_than_one_start_is_invalid(self, starts):
+        with pytest.raises(InvalidParamsError, match="starts"):
+            optimize_sum_rate(UNIT, DistortionTriple(0.6, 0.6, 0.4), OptimizeOptions(starts=starts))
+
+    def test_one_start_runs_one_start(self):
+        targets = DistortionTriple(0.6, 0.6, 0.4)
+        assert len(_start_vectors(UNIT, targets, OptimizeOptions(starts=1))) == 1
+        res = optimize_sum_rate(UNIT, targets, OptimizeOptions(starts=1))
+        assert res.distortions[2] <= 0.4 * (1.0 + 1e-9)
 
     def test_deterministic_given_seed(self):
         targets = DistortionTriple(0.5, 0.45, 0.4)
