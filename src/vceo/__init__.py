@@ -6,7 +6,6 @@ All information quantities are in nats.
 """
 
 from .bound import (
-    BoundParams,
     LowerBoundResult,
     PBranch,
     condition_holds,
@@ -47,8 +46,8 @@ from .gaussmodel import (
 )
 from .mc import JointSamples, McReport, McRow, empirical_mmse, mc_report, sample_joint
 from .scheme import (
+    BoundParams,
     DistortionTriple,
-    MarginalParams,
     OptimizeOptions,
     OptimizeResult,
     RateBreakdown,
@@ -73,7 +72,6 @@ __all__ = [
     "JointSamples",
     "LabeledCov",
     "LowerBoundResult",
-    "MarginalParams",
     "McReport",
     "McRow",
     "OptimizeOptions",

@@ -38,10 +38,15 @@ import scipy.optimize
 
 from .errors import DomainError, InfeasibleTargetsError, InvalidParamsError
 from .gaussmodel import SourceModel
-from .scheme import DistortionTriple, central_precision, receiver_precision, require_valid_targets
+from .scheme import (
+    BoundParams,
+    DistortionTriple,
+    central_precision,
+    receiver_precision,
+    require_valid_targets,
+)
 
 __all__ = [
-    "BoundParams",
     "PBranch",
     "LowerBoundResult",
     "in_F_k",
@@ -60,38 +65,6 @@ EQUALITY_RTOL = 1e-9
 BOX_RTOL = 1e-12
 #: Fewest grid points per axis: two scan only the box corners.
 MIN_GRID = 3
-
-
-@dataclass(frozen=True)
-class BoundParams:
-    """Converse parameter vector (d_11, d_12, d_21, d_22, t_1, t_2)."""
-
-    d11: float
-    d12: float
-    d21: float
-    d22: float
-    t1: float
-    t2: float
-
-    def __post_init__(self) -> None:
-        for name in ("d11", "d12", "d21", "d22"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0):
-                raise InvalidParamsError(f"{name} must be finite and >= 0, got {v!r}")
-            object.__setattr__(self, name, float(v))
-        for name in ("t1", "t2"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and not math.isnan(v) and v >= 0):
-                raise InvalidParamsError(f"{name} must be >= 0 (inf allowed), got {v!r}")
-            object.__setattr__(self, name, float(v))
-
-    def encoder(self, k: int) -> tuple[float, float, float]:
-        """(d_k1, d_k2, t_k) of encoder ``k``."""
-        if k == 1:
-            return self.d11, self.d12, self.t1
-        if k == 2:
-            return self.d21, self.d22, self.t2
-        raise InvalidParamsError(f"encoder index must be 1 or 2, got {k!r}")
 
 
 class PBranch(Enum):
@@ -279,11 +252,13 @@ def in_P(
 def project_to_P(model: SourceModel, targets: DistortionTriple, p: BoundParams) -> BoundParams:
     """Move an admissible point onto the critical manifold.
 
-    Follows the constructive argument: raise d_11, d_12 to the individual
-    equalities or to the n_1 cap, then d_21, d_22 to the equalities; lower t_1
-    to central equality or to its box floor, then t_2 likewise.  d components
-    never decrease, t components never increase, and points already critical
-    return unchanged.
+    Follows the constructive argument: move d_11, d_12 by the receiver slack
+    onto the individual equalities or to the n_1 cap, then raise d_21, d_22 to
+    the equalities; lower t_1 to central equality or to its box floor, then
+    t_2 likewise.  The slack is signed, so a receiver that an input inside
+    F's tolerance misses by roundoff is met again by lowering d_1l; otherwise
+    d components never decrease, t components never increase, and points
+    already critical return unchanged.
     """
     if not in_F(model, targets, p):
         raise DomainError("projection input must lie in the admissible set F")
@@ -292,8 +267,6 @@ def project_to_P(model: SourceModel, targets: DistortionTriple, p: BoundParams) 
     for l, target in ((1, targets.d1), (2, targets.d2)):
         key1, key2 = f"d1{l}", f"d2{l}"
         slack = receiver_precision(s2, n1, n2, d[key1], d[key2]) - 1.0 / target
-        if slack < 0.0:  # only tolerance-level negativity possible for p in F
-            slack = 0.0
         d[key1] = min(d[key1] + slack * n1**2, n1)
         slack = receiver_precision(s2, n1, n2, d[key1], d[key2]) - 1.0 / target
         # Past n2 only by roundoff, which grows with n2/n1; the final in_P check
@@ -372,19 +345,12 @@ def _sup_r_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
 
 @dataclass(frozen=True)
 class LowerBoundResult:
-    """Value and argmin of the sum-rate lower bound.
-
-    ``branch_values`` maps P1 to the value of the convex program and P2 to
-    that of its relaxation without the central constraint, where both t fall
-    to the box floor: the P2 branch's infimum when the relaxation's minimiser
-    meets the central constraint, and a lower bound on it otherwise.
-    """
+    """Value and argmin of the sum-rate lower bound."""
 
     value: float
     argmin: BoundParams
     branch: PBranch
     sigma_z: tuple[float, float]
-    branch_values: dict[PBranch, float]
 
 
 def lower_bound(
@@ -460,28 +426,32 @@ def lower_bound(
     gain = np.array([[1.0 / n1, 0.0, 1.0 / n2, 0.0], [0.0, 1.0 / n1, 0.0, 1.0 / n2]]) / q[:2, None]
     gain0 = np.array([1.0 / n1, 1.0 / n2]) / q[2]
     pick_t = np.repeat(np.eye(2), 2, axis=0)
-    receivers_and_floors = {
+    constraints = {
         "type": "ineq",
-        "fun": lambda x: np.r_[gain @ (1.0 - x[:4]) - 1.0, np.log(x[:4]) + 2.0 * pick_t @ x[4:]],
-        "jac": lambda x: np.block([[-gain, np.zeros((2, 2))], [np.diag(1.0 / x[:4]), 2.0 * pick_t]]),
-    }
-    central = {
-        "type": "ineq",
-        "fun": lambda x: -np.expm1(-2.0 * x[4:]) @ gain0 - 1.0,
-        "jac": lambda x: np.r_[np.zeros(4), 2.0 * np.exp(-2.0 * x[4:]) * gain0],
+        "fun": lambda x: np.r_[
+            gain @ (1.0 - x[:4]) - 1.0,
+            np.log(x[:4]) + 2.0 * pick_t @ x[4:],
+            -np.expm1(-2.0 * x[4:]) @ gain0 - 1.0,
+        ],
+        "jac": lambda x: np.block(
+            [
+                [-gain, np.zeros((2, 2))],
+                [np.diag(1.0 / x[:4]), 2.0 * pick_t],
+                [np.zeros((1, 4)), 2.0 * np.exp(-2.0 * x[4:]) * gain0],
+            ]
+        ),
     }
 
-    def solve(x_start: np.ndarray, constraints: list) -> np.ndarray:
-        # y stays off 0, where log y is -inf; the box floor keeps the minimiser above it anyway.
-        return scipy.optimize.minimize(
-            _sup_r_grad,
-            x_start,
-            jac=True,
-            method="SLSQP",
-            bounds=[(1e-300, 1.0)] * 4 + [(0.0, None)] * 2,
-            constraints=constraints,
-            options={"maxiter": 200, "ftol": 1e-15},
-        ).x
+    # y stays off 0, where log y is -inf; the box floor keeps the minimiser above it anyway.
+    x = scipy.optimize.minimize(
+        _sup_r_grad,
+        x0,
+        jac=True,
+        method="SLSQP",
+        bounds=[(1e-300, 1.0)] * 4 + [(0.0, None)] * 2,
+        constraints=constraints,
+        options={"maxiter": 200, "ftol": 1e-15},
+    ).x
 
     def params_of(x: np.ndarray) -> BoundParams:
         """A point of F near x: y clipped into [0, 1] and t lifted onto F."""
@@ -489,7 +459,6 @@ def lower_bound(
         t1, t2 = lift_t(*y, *np.exp(-2.0 * x[4:]))
         return BoundParams(n1 * y[0], n1 * y[1], n2 * y[2], n2 * y[3], t1, t2)
 
-    x = solve(x0, [receivers_and_floors, central])
     try:
         argmin = project_to_P(model, targets, params_of(x))
     except (DomainError, InvalidParamsError):
@@ -505,16 +474,4 @@ def lower_bound(
     branch = in_P(model, targets, argmin)
     sz1, v1 = sup_sigma_z(n1, argmin.d11, argmin.d12, argmin.t1)
     sz2, v2 = sup_sigma_z(n2, argmin.d21, argmin.d22, argmin.t2)
-    value = v1 + v2 + const
-    relaxed = value
-    if branch is PBranch.P1:
-        y = np.array([argmin.d11 / n1, argmin.d12 / n1, argmin.d21 / n2, argmin.d22 / n2])
-        t_floor = -0.5 * np.log(np.minimum(y[[0, 2]], y[[1, 3]]))
-        relaxed = _sup_r_grad(solve(np.r_[y, t_floor], [receivers_and_floors]))[0] + const
-    return LowerBoundResult(
-        value=value,
-        argmin=argmin,
-        branch=branch,
-        sigma_z=(sz1, sz2),
-        branch_values={PBranch.P1: value, PBranch.P2: relaxed},
-    )
+    return LowerBoundResult(value=v1 + v2 + const, argmin=argmin, branch=branch, sigma_z=(sz1, sz2))

@@ -33,10 +33,11 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .bound import BoundParams, _require_in_box, condition_holds, in_F_k, in_P, r_fn
+from .bound import _require_in_box, condition_holds, in_F_k, in_P, r_fn
 from .errors import DomainError, InternalContradictionError
 from .gaussmodel import SourceModel, build_joint_cov, conditional_mi
 from .scheme import (
+    BoundParams,
     DistortionTriple,
     SchemeParams,
     W_CAP_FACTOR,
@@ -56,10 +57,6 @@ __all__ = [
     "solve_a_star",
     "construct_matching_scheme",
 ]
-
-#: |g(a*)| tolerance and relative bracket width for the root search.
-G_TOL = 1e-12
-BRACKET_RTOL = 1e-14
 
 
 class FRegion(Enum):
@@ -125,10 +122,15 @@ def classify_F_k(sigma_n2: float, d1: float, d2: float, t: float) -> FRegion:
 
 
 def solve_a_star(sigma_n2: float, alpha: AlphaTriple) -> float:
-    """Root of g in (0, sigma_n2], by bisection from the sign-change bracket.
+    """Root of g in (0, sigma_n2], in closed form.
 
-    Requires g(0) > 0 and g(sigma_n2) <= 0.  The returned root keeps the
-    implied W covariance PSD: alpha_1 * alpha_2 >= a*^2.
+    Requires g(0) > 0 and g(sigma_n2) <= 0.  The root is the positive one of
+    g's numerator, beta^2 + 2 alpha_0 beta - (alpha_1 alpha_2 - alpha_0
+    (alpha_1 + alpha_2)) = 0, written as c / (alpha_0 + sqrt((alpha_1 -
+    alpha_0)(alpha_2 - alpha_0))) with c = alpha_1 alpha_2 - alpha_0
+    (alpha_1 + alpha_2): g(0) > 0 makes c positive, so no digits cancel.
+    The returned root keeps the implied W covariance PSD: alpha_1 * alpha_2
+    >= a*^2.
     """
     g0 = g_fn(alpha, 0.0)
     g_hi = g_fn(alpha, sigma_n2)
@@ -137,24 +139,10 @@ def solve_a_star(sigma_n2: float, alpha: AlphaTriple) -> float:
             f"root bracket requires g(0) > 0 >= g(sigma_n2); got g(0) = {g0:.3e}, "
             f"g(sigma_n2) = {g_hi:.3e}"
         )
-    lo, hi = 0.0, float(sigma_n2)
-    root = hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        gm = g_fn(alpha, mid)
-        if abs(gm) <= G_TOL or (hi - lo) <= BRACKET_RTOL * sigma_n2:
-            root = mid
-            break
-        if gm > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        root = 0.5 * (lo + hi)
-    psd_margin = (
-        math.inf
-        if math.isinf(alpha.a1) or math.isinf(alpha.a2)
-        else alpha.a1 * alpha.a2 - root * root
-    )
+    a0, a1, a2 = alpha
+    c = a1 * a2 - a0 * (a1 + a2)
+    root = min(c / (a0 + math.sqrt((a1 - a0) * (a2 - a0))), float(sigma_n2))
+    psd_margin = math.inf if math.isinf(a1) or math.isinf(a2) else a1 * a2 - root * root
     if psd_margin < -1e-12:
         raise InternalContradictionError(
             f"solved root a* = {root} violates the PSD guarantee: "

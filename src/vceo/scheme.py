@@ -24,18 +24,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 import scipy.optimize
 
-from .errors import InfeasibleTargetsError, InvalidParamsError
+from .errors import InfeasibleTargetsError, InfiniteMutualInformationError, InvalidParamsError
 from .gaussmodel import SourceModel, build_joint_cov, conditional_mi, gaussian_mi
 
 __all__ = [
     "SchemeParams",
     "DistortionTriple",
-    "MarginalParams",
+    "BoundParams",
     "RateBreakdown",
     "OptimizeOptions",
     "OptimizeResult",
@@ -129,8 +128,14 @@ class DistortionTriple:
         raise InvalidParamsError(f"receiver index must be 1 or 2, got {l!r}")
 
 
-class MarginalParams(NamedTuple):
-    """Per-description conditional variances and per-encoder conditional informations."""
+@dataclass(frozen=True)
+class BoundParams:
+    """The six numbers (d_11, d_12, d_21, d_22, t_1, t_2).
+
+    They are the converse parameter vector of ``vceo.bound`` and, at a
+    scheme, its marginals d'_kl = Var(X_k | U_kl, S) and t'_k =
+    I(X_k; U_k1, U_k2 | S) (see ``marginal_params``).
+    """
 
     d11: float
     d12: float
@@ -138,6 +143,26 @@ class MarginalParams(NamedTuple):
     d22: float
     t1: float
     t2: float
+
+    def __post_init__(self) -> None:
+        for name in ("d11", "d12", "d21", "d22"):
+            v = getattr(self, name)
+            if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0):
+                raise InvalidParamsError(f"{name} must be finite and >= 0, got {v!r}")
+            object.__setattr__(self, name, float(v))
+        for name in ("t1", "t2"):
+            v = getattr(self, name)
+            if not (isinstance(v, (int, float)) and not math.isnan(v) and v >= 0):
+                raise InvalidParamsError(f"{name} must be >= 0 (inf allowed), got {v!r}")
+            object.__setattr__(self, name, float(v))
+
+    def encoder(self, k: int) -> tuple[float, float, float]:
+        """(d_k1, d_k2, t_k) of encoder ``k``."""
+        if k == 1:
+            return self.d11, self.d12, self.t1
+        if k == 2:
+            return self.d21, self.d22, self.t2
+        raise InvalidParamsError(f"encoder index must be 1 or 2, got {k!r}")
 
 
 @dataclass(frozen=True)
@@ -210,10 +235,10 @@ def _marginal_t(noise_var: float, w1: float, w2: float, a: float) -> float:
     return 0.5 * math.log(num / det)
 
 
-def marginal_params(model: SourceModel, params: SchemeParams) -> MarginalParams:
+def marginal_params(model: SourceModel, params: SchemeParams) -> BoundParams:
     """The six marginal parameters (d'_11, d'_12, d'_21, d'_22, t'_1, t'_2)."""
     n1, n2 = model.sigma_n1_2, model.sigma_n2_2
-    return MarginalParams(
+    return BoundParams(
         d11=_marginal_d(n1, params.w11),
         d12=_marginal_d(n1, params.w12),
         d21=_marginal_d(n2, params.w21),
@@ -309,25 +334,23 @@ def central_distortion(model: SourceModel, params: SchemeParams) -> float:
 
 
 def sum_rate(model: SourceModel, params: SchemeParams) -> RateBreakdown:
-    """Sum-rate objective evaluated on the seven-variable joint law.
+    """Sum-rate objective I(X1, X2; U) + I(U11, U21; U12, U22) in closed form.
 
-    Both information terms are computed with the general log-det algebra of
-    :mod:`vceo.gaussmodel`; degenerate parameters (a zero-variance W, or the
-    PSD boundary w_k1 w_k2 = a_k^2) raise InfiniteMutualInformationError.
+    The rate is ``_closed_form``'s.  ``term_mi_joint`` = 1/2 log(sigma_s2 /
+    delta_0) + t'_1 + t'_2, that is I(S; U) + I(X1, X2; U | S), and
+    ``term_mi_cross`` is the rest.  Degenerate parameters (a zero-variance W,
+    or the PSD boundary w_k1 w_k2 = a_k^2) raise
+    InfiniteMutualInformationError.  The log-det algebra of
+    :mod:`vceo.gaussmodel` is the independent check of this value.
     """
-    cov = build_joint_cov(model, params)
-    us = ("U11", "U12", "U21", "U22")
-    joint = gaussian_mi(cov, ("X1", "X2"), us)
-    cross = gaussian_mi(cov, ("U11", "U21"), ("U12", "U22"))
-    return RateBreakdown(sum_rate=joint + cross, term_mi_joint=joint, term_mi_cross=cross)
-
-
-def _sum_rate_closed(model: SourceModel, params: SchemeParams) -> float:
-    """Closed-form sum rate (equals the log-det route; see ``_closed_form``).
-
-    Returns +inf at degenerate parameters.
-    """
-    return _scheme_forms(model, params)[0]
+    rate, _, _, inv_d0 = _scheme_forms(model, params)
+    if math.isinf(rate):
+        raise InfiniteMutualInformationError(
+            "sum rate is infinite: a description has zero variance or a W block is singular"
+        )
+    mp = marginal_params(model, params)
+    joint = 0.5 * math.log(model.sigma_s2 * inv_d0) + mp.t1 + mp.t2
+    return RateBreakdown(sum_rate=rate, term_mi_joint=joint, term_mi_cross=rate - joint)
 
 
 def rate_tuple(model: SourceModel, params: SchemeParams, slack: float) -> RateBreakdown:

@@ -7,6 +7,7 @@ import pytest
 
 from vceo import BoundParams, DistortionTriple, SchemeParams, SourceModel
 from vceo.bound import condition_holds, in_F
+from vceo.gaussmodel import build_joint_cov, gaussian_mi
 from vceo.scheme import full_mmse
 
 
@@ -30,6 +31,15 @@ def random_params(rng, model, w_lo=0.05, w_hi=20.0, with_a=True) -> SchemeParams
     else:
         a1 = a2 = 0.0
     return SchemeParams(w[0], w[1], w[2], w[3], a1, a2)
+
+
+def log_det_sum_rate(model, params) -> float:
+    """I(X1, X2; U) + I(U11, U21; U12, U22) by the general log-det algebra: the
+    reference the closed-form ``vceo.sum_rate`` is checked against."""
+    cov = build_joint_cov(model, params)
+    return gaussian_mi(cov, ("X1", "X2"), ("U11", "U12", "U21", "U22")) + gaussian_mi(
+        cov, ("U11", "U21"), ("U12", "U22")
+    )
 
 
 def random_condition_targets(rng, model, max_tries=1000) -> DistortionTriple:

@@ -1,6 +1,7 @@
 """Converse machinery: bound function, classification, projection, lower bound."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -282,15 +283,6 @@ class TestLowerBound:
         res = optimize_sum_rate(UNIT, CANONICAL, OptimizeOptions(starts=4, seed=0))
         assert abs(res.breakdown.sum_rate - lb.value) / lb.value <= 1e-3
 
-    def test_loose_central_target_prefers_pinned_branch(self):
-        # At the loosest admissible central target the equality manifold
-        # degenerates into the pinned one, so the pinned branch carries the
-        # minimum; the two infima coincide there, hence the solver-noise slack.
-        targets = DistortionTriple(0.4, 0.4, 0.39999)
-        lb = lower_bound(UNIT, targets)
-        p1, p2 = lb.branch_values[PBranch.P1], lb.branch_values[PBranch.P2]
-        assert p2 <= p1 + 1e-6 or math.isinf(p1)
-
     def test_argmin_is_critical_and_in_reported_branch(self, rng):
         for _ in range(3):
             model = random_model(rng)
@@ -377,6 +369,16 @@ class TestLowerBound:
         lb = lower_bound(model, targets)
         assert lb.value == pytest.approx(value, rel=1e-7)
         assert in_P(model, targets, lb.argmin) is lb.branch
+
+    def test_argmin_meets_the_receivers_in_exact_arithmetic(self):
+        # SLSQP meets its linear receiver constraints only to about 1e-10 at
+        # this ratio; project_to_P's signed slack puts the argmin back in F.
+        model, targets = SourceModel(1.0, 1e-4, 1e4), DistortionTriple(0.5, 0.5, 0.1)
+        p = lower_bound(model, targets).argmin
+        s2, n1, n2 = (Fraction(v) for v in (model.sigma_s2, model.sigma_n1_2, model.sigma_n2_2))
+        for d1l, d2l, target in ((p.d11, p.d21, targets.d1), (p.d12, p.d22, targets.d2)):
+            precision = 1 / s2 + 1 / n1 + 1 / n2 - Fraction(d1l) / n1**2 - Fraction(d2l) / n2**2
+            assert precision >= 1 / Fraction(target)
 
     def test_solver_point_that_does_not_project_falls_back_to_a_mix(self, monkeypatch):
         reference = lower_bound(UNIT, CANONICAL).value

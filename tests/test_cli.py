@@ -95,6 +95,21 @@ class TestSumRateCommand:
         assert abs(ach["sum_rate"] - lb["lower_bound"]) / lb["lower_bound"] <= 1e-12
         assert lb["lower_bound"] <= ach["sum_rate"] + 1e-9
 
+    def test_rate_at_an_extreme_variance_ratio_respects_the_bound(self, tmp_path, capsys):
+        # Outside the condition at n2/n1 = 1e8 the reported scheme leaves encoder
+        # 2's descriptions at the W_CAP_FACTOR cap, where the log-det route
+        # printed 0.6315 against this bound of 0.8575.
+        doc = {
+            "model": {"sigma_s2": 1.0, "sigma_n1_2": 1e-4, "sigma_n2_2": 1e4},
+            "targets": {"d1": 0.3, "d2": 0.6, "d0": 0.25},
+        }
+        path = write_instance(tmp_path, doc)
+        assert main(["sum-rate", "--instance", path, "--output", "json"]) == EXIT_OK
+        ach = json.loads(capsys.readouterr().out)
+        assert main(["lower-bound", "--instance", path, "--output", "json"]) == EXIT_OK
+        lb = json.loads(capsys.readouterr().out)
+        assert ach["sum_rate"] >= lb["lower_bound"] * (1.0 - 1e-9)
+
     def test_slack_targets_need_almost_no_rate(self, tmp_path, capsys):
         doc = {
             "model": CANONICAL_DOC["model"],

@@ -26,7 +26,7 @@ from vceo import (
 from vceo.equivalence import _construct_encoder
 from vceo.gaussmodel import conditional_cov
 
-from conftest import random_condition_targets, random_model, sample_F_point
+from conftest import log_det_sum_rate, random_condition_targets, random_model, sample_F_point
 
 UNIT = SourceModel(1.0, 1.0, 1.0)
 
@@ -123,6 +123,20 @@ class TestSolveAStar:
             root = solve_a_star(n, a)
             assert a.a1 * a.a2 - root * root >= -1e-12
 
+    def test_root_zeroes_g(self, rng):
+        # (alpha_0 + beta) g(beta) is O(1), so the closed form leaves only roundoff.
+        checked = 0
+        while checked < 500:
+            n = rng.uniform(0.25, 4.0)
+            t = rng.uniform(0.05, 2.0)
+            d1, d2 = rng.uniform(n * math.exp(-2.0 * t), n, 2)
+            a = alphas(n, d1, d2, t)
+            if not (g_fn(a, 0.0) > 0.0 and g_fn(a, n) <= 0.0):
+                continue
+            checked += 1
+            root = solve_a_star(n, a)
+            assert abs(g_fn(a, root)) * (a.a0 + root) <= 1e-14
+
     def test_bad_bracket_rejected(self):
         with pytest.raises(DomainError):
             solve_a_star(1.0, AlphaTriple(1.0, 1.0, 1.0))  # g(0) < 0
@@ -152,7 +166,7 @@ class TestConstructMatchingScheme:
             p = project_to_P(model, targets, sample_F_point(rng, model, targets))
             report = construct_matching_scheme(model, targets, p)
             checked += 1
-            direct = sum_rate(model, report.params).sum_rate
+            direct = log_det_sum_rate(model, report.params)
             assert direct == pytest.approx(report.rhs, abs=1e-7)
 
     def test_case1_zeroes_conditional_correlation(self):

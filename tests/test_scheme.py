@@ -37,10 +37,9 @@ from vceo.scheme import (
     _params_from_vector,
     _penalized_objective,
     _start_vectors,
-    _sum_rate_closed,
 )
 
-from conftest import random_feasible_targets, random_model, random_params
+from conftest import log_det_sum_rate, random_feasible_targets, random_model, random_params
 
 UNIT = SourceModel(1.0, 1.0, 1.0)
 
@@ -205,10 +204,10 @@ class TestSumRate:
 
     def test_one_encoder_disabled_reduces_to_two_descriptions(self):
         params = SchemeParams(1.0, 2.0, W_CAP_FACTOR, W_CAP_FACTOR)
-        b = sum_rate(UNIT, params)
         cov = build_joint_cov(UNIT, params)
         reduced = gaussian_mi(cov, "X1", ("U11", "U12")) + gaussian_mi(cov, "U11", "U12")
-        assert b.sum_rate == pytest.approx(reduced, abs=1e-6)
+        assert log_det_sum_rate(UNIT, params) == pytest.approx(reduced, abs=1e-6)
+        assert sum_rate(UNIT, params).sum_rate == pytest.approx(reduced, abs=1e-6)
 
     def test_all_descriptions_useless_gives_zero(self):
         params = SchemeParams(*(W_CAP_FACTOR,) * 4)
@@ -220,12 +219,31 @@ class TestSumRate:
         with pytest.raises(InfiniteMutualInformationError):
             sum_rate(UNIT, SchemeParams(1, 1, 2, 2, a2=2.0))
 
+    def test_description_at_the_cap_matches_the_exact_rate(self):
+        # The scheme ``sum-rate`` reports for the benchmark pool instance
+        # random_24, whose w12 sits at the W_CAP_FACTOR cap.  The constants are
+        # its rate and joint term, computed once with mpmath at 50 digits from
+        # the log-determinants; the log-det route in doubles is 9.5e-8 nats low here.
+        model = SourceModel(3.049200424681859, 3.9276496516995336, 1.8062823273316246)
+        params = SchemeParams(
+            1.9823642646145443,
+            392764965.16995364,
+            0.42702646236710734,
+            47.084913284066324,
+            a1=3.9276496516995336,
+            a2=1.8062823273316246,
+        )
+        assert params.w12 == pytest.approx(W_CAP_FACTOR * model.sigma_n1_2, rel=1e-14)
+        b = sum_rate(model, params)
+        assert b.sum_rate == pytest.approx(2.0400917917092978, rel=1e-13)
+        assert b.term_mi_joint == pytest.approx(2.0205494245994647, rel=1e-13)
+
     def test_closed_form_agrees_with_log_det_route(self, rng):
         for _ in range(200):
             model = random_model(rng)
             params = random_params(rng, model)
-            assert _sum_rate_closed(model, params) == pytest.approx(
-                sum_rate(model, params).sum_rate, abs=1e-9
+            assert sum_rate(model, params).sum_rate == pytest.approx(
+                log_det_sum_rate(model, params), abs=1e-9
             )
 
 
@@ -326,7 +344,7 @@ class TestPenalizedObjective:
             log_n = np.log([model.sigma_n1_2, model.sigma_n1_2, model.sigma_n2_2, model.sigma_n2_2])
             z = np.concatenate([log_n + rng.uniform(-6.0, 4.0, 4), rng.uniform(-0.3, 0.95, 2)])
             params = _params_from_vector(model, z)
-            rate = _sum_rate_closed(model, params)
+            rate = sum_rate(model, params).sum_rate
             excess = sum(
                 max(0.0, delta / target - 1.0)
                 for delta, target in zip(
@@ -398,6 +416,23 @@ class TestOptimizeSumRate:
         b = optimize_sum_rate(UNIT, targets, opts)
         assert a.params == b.params
         assert a.breakdown.sum_rate == b.breakdown.sum_rate
+
+    @pytest.mark.parametrize(
+        "model, targets, rate",
+        [
+            ((1.0, 1.0, 1.0), (0.6, 0.6, 0.4), 1.9454540224158088),
+            ((1.0, 0.3, 3.0), (0.5, 0.3, 0.25), 2.107649001253632),
+        ],
+    )
+    def test_default_options_reproduce_the_benchmark_rates(self, model, targets, rate):
+        # The rates perfbench/reference.json stores for unit_outside and
+        # asym_noise_out, which the benchmark checks to 1e-6.  The Nelder-Mead
+        # path (decoders, starts, distortions, feasibility restoration) must
+        # not change until that file is rebuilt: taking central_distortion's
+        # e^{-2t'} from the rational form, a 1-ulp change, moves asym_noise_out
+        # past 1e-9.
+        res = optimize_sum_rate(SourceModel(*model), DistortionTriple(*targets))
+        assert res.breakdown.sum_rate == pytest.approx(rate, rel=1e-9)
 
     def test_standalone_multistart_meets_bound_without_analytic_start(self):
         # The optimizer must stand on its own, not just polish the converse
