@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 from .bound import _require_in_box, condition_holds, in_F_k, in_P, r_fn
 from .errors import DomainError, InternalContradictionError
-from .gaussmodel import SourceModel, build_joint_cov, conditional_mi
+from .gaussmodel import SourceModel
 from .scheme import (
     BoundParams,
     DistortionTriple,
@@ -198,6 +198,15 @@ def _construct_encoder(
     raise DomainError(f"(d1, d2, t) = ({d1}, {d2}, {t}) is not in the admissible box")
 
 
+def _channel_residual_mi(n: float, w1: float, w2: float, a: float, sigma_z2: float) -> float:
+    """I(U_k1; U_k2 | S, Y_k) in closed form.  Given S and Y_k, N_k keeps variance
+    v = n sigma_z2 / (n + sigma_z2) (v = n at sigma_z2 = inf); the value is 0 at v = a."""
+    v = n if math.isinf(sigma_z2) else n * sigma_z2 / (n + sigma_z2)
+    if v == a:
+        return 0.0
+    return -0.5 * math.log1p(-((v - a) ** 2) / ((v + w1) * (v + w2)))
+
+
 def construct_matching_scheme(
     model: SourceModel, targets: DistortionTriple, p: BoundParams
 ) -> EquivalenceReport:
@@ -255,19 +264,10 @@ def construct_matching_scheme(
     w_stored = [min(w, cap) for w, cap in zip(w_exact, caps)]
     params = SchemeParams(*w_stored, a1=a_vals[0], a2=a_vals[1])
 
-    cond_mi_vals = []
-    for k in (1, 2):
-        sz = sigma_z[k - 1]
-        if math.isinf(sz):
-            # Infinite channel variance: conditioning on Y_k carries no information.
-            cov = build_joint_cov(model, params)
-            given: tuple[str, ...] = ("S",)
-        else:
-            cov = build_joint_cov(model, params, noise_z=(_finite(sigma_z[0]), _finite(sigma_z[1])))
-            given = ("S", f"Y{k}")
-        val = conditional_mi(cov, f"U{k}1", f"U{k}2", given)
-        cond_mi_vals.append(val)
-        rhs += val
+    cond_mi_vals = [
+        _channel_residual_mi(model.noise_var(k), *params.encoder(k), sigma_z[k - 1]) for k in (1, 2)
+    ]
+    rhs += sum(cond_mi_vals)
 
     return EquivalenceReport(
         lhs=lhs,
@@ -279,6 +279,3 @@ def construct_matching_scheme(
         distortions=_distortions(model, params),
     )
 
-
-def _finite(x: float) -> float:
-    return 0.0 if math.isinf(x) else x

@@ -160,7 +160,18 @@ def build_joint_cov(
         if not (math.isfinite(z1) and math.isfinite(z2) and z1 >= 0.0 and z2 >= 0.0):
             raise InvalidParamsError(f"Z variances must be finite and >= 0, got {noise_z!r}")
 
-    # Independent components: S, N1, N2, W11, W12, W21, W22 (+ Z1, Z2).
+    labels, incidence, comp = _joint_law(model, params, noise_z)
+    return LabeledCov(labels, incidence @ comp @ incidence.T)
+
+
+def _joint_law(
+    model: SourceModel,
+    params: "SchemeParams",
+    noise_z: tuple[float, float] | None = None,
+) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """(labels, 0/1 incidence, component covariance), unvalidated: the joint
+    covariance is ``incidence @ comp @ incidence.T``, and ``comp`` is
+    block-diagonal over S, N1, N2, the two W pairs and Z1, Z2."""
     ncomp = 9 if noise_z is not None else 7
     comp = np.zeros((ncomp, ncomp))
     comp[0, 0] = model.sigma_s2
@@ -184,7 +195,7 @@ def build_joint_cov(
     }
     labels = list(JOINT_LABELS)
     if noise_z is not None:
-        comp[7, 7], comp[8, 8] = z1, z2
+        comp[7, 7], comp[8, 8] = float(noise_z[0]), float(noise_z[1])
         rows["Y1"] = [0, 1, 7]
         rows["Y2"] = [0, 2, 8]
         labels += ["Y1", "Y2"]
@@ -192,7 +203,7 @@ def build_joint_cov(
     incidence = np.zeros((len(labels), ncomp))
     for i, lab in enumerate(labels):
         incidence[i, rows[lab]] = 1.0
-    return LabeledCov(tuple(labels), incidence @ comp @ incidence.T)
+    return tuple(labels), incidence, comp
 
 
 def _pinv_psd(m: np.ndarray, rcond: float = PINV_RCOND) -> np.ndarray:
@@ -247,31 +258,8 @@ def conditional_cov(
 
 
 def gaussian_mi(cov: LabeledCov, a: str | Sequence[str], b: str | Sequence[str]) -> float:
-    """Mutual information I(A; B) in nats, as half a log-determinant ratio.
-
-    Degenerate marginals are handled through pseudo log-determinants on the
-    common range.  If conditioning on B removes a direction of A entirely
-    (deterministic dependence), the information is infinite and
-    InfiniteMutualInformationError is raised.
-    """
-    la = _as_labels(a)
-    lb = _as_labels(b)
-    if set(la) & set(lb):
-        raise InvalidParamsError(f"label sets overlap: {set(la) & set(lb)}")
-    if not la or not lb:
-        return 0.0
-    saa = cov.sub(la)
-    cond = conditional_cov(cov, la, lb)
-    eig_a = np.linalg.eigvalsh(saa)
-    cut = PINV_RCOND * max(float(eig_a[-1]), 0.0)
-    ld_a, rank_a = _plogdet(saa, cut)
-    ld_c, rank_c = _plogdet(cond, cut)
-    if rank_c < rank_a:
-        raise InfiniteMutualInformationError(
-            f"I({la}; {lb}) is infinite: conditioning is deterministic on "
-            f"{rank_a - rank_c} direction(s)"
-        )
-    return max(0.0, 0.5 * (ld_a - ld_c))
+    """Mutual information I(A; B) in nats: ``conditional_mi`` with nothing given."""
+    return conditional_mi(cov, a, b)
 
 
 def conditional_mi(
@@ -280,13 +268,18 @@ def conditional_mi(
     b: str | Sequence[str],
     c: str | Sequence[str] = (),
 ) -> float:
-    """Conditional mutual information I(A; B | C) >= 0 in nats."""
+    """Conditional mutual information I(A; B | C) >= 0 in nats, as half a
+    log-determinant ratio.
+
+    Degenerate marginals are handled through pseudo log-determinants on the
+    common range.  If conditioning on B removes a direction of A entirely
+    (deterministic dependence), the information is infinite and
+    InfiniteMutualInformationError is raised.
+    """
     la, lb, lc = _as_labels(a), _as_labels(b), _as_labels(c)
     for x, y in ((la, lb), (la, lc), (lb, lc)):
         if set(x) & set(y):
             raise InvalidParamsError(f"label sets overlap: {set(x) & set(y)}")
-    if not lc:
-        return gaussian_mi(cov, la, lb)
     if not la or not lb:
         return 0.0
     cond_c = conditional_cov(cov, la, lc)

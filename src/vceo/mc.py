@@ -1,6 +1,6 @@
-"""Monte-Carlo oracle: sample the joint law, fit linear MMSE estimators, and
-compare the empirical distortions against every closed-form conditional
-variance.
+"""Monte-Carlo oracle: sample the joint law from its independent components,
+fit linear MMSE estimators, and compare the empirical distortions against
+every closed-form conditional variance.
 
 Sampling uses a counter-based generator (Philox) keyed by the seed, so the
 sample matrix is bit-reproducible and shardable by counter range.  For
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import scheme as _scheme
 from .errors import DegenerateRegressionError, InvalidParamsError
-from .gaussmodel import SourceModel, build_joint_cov
+from .gaussmodel import SourceModel, _joint_law
 from .scheme import SchemeParams
 
 __all__ = ["JointSamples", "McRow", "McReport", "sample_joint", "empirical_mmse", "mc_report"]
@@ -46,21 +46,31 @@ class JointSamples:
             raise InvalidParamsError(f"unknown label {label!r}; have {self.labels}") from None
 
 
-def sample_joint(model: SourceModel, params: SchemeParams, n: int, seed: int) -> JointSamples:
-    """Draw ``n`` i.i.d. rows of (S, X1, X2, U11, U12, U21, U22).
+def _law_factor(model: SourceModel, params: SchemeParams) -> tuple[tuple[str, ...], np.ndarray]:
+    """(labels, F) with F F^T the joint covariance: the law's incidence matrix
+    times the principal square root of its block-diagonal component covariance."""
+    labels, incidence, comp = _joint_law(model, params)
+    root = np.sqrt(np.diag(np.diag(comp)))
+    # comp's blocks have order <= 2; a 2x2 block B (a correlated W pair, so
+    # tr B > 0) has root (B + sqrt(det B) I) / sqrt(tr B + 2 sqrt(det B)).
+    for i in np.flatnonzero(np.diag(comp, 1)):
+        b = comp[i : i + 2, i : i + 2]
+        s = math.sqrt(max(b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0], 0.0))
+        root[i : i + 2, i : i + 2] = (b + s * np.eye(2)) / math.sqrt(b[0, 0] + b[1, 1] + 2.0 * s)
+    return labels, incidence @ root
 
-    Deterministic for a fixed seed.  The covariance factor comes from an
-    eigendecomposition with negative eigenvalues clipped at zero, so boundary
-    parameter sets (singular description-noise blocks) sample exactly.
-    """
+
+def sample_joint(model: SourceModel, params: SchemeParams, n: int, seed: int) -> JointSamples:
+    """Draw ``n`` i.i.d. rows of (S, X1, X2, U11, U12, U21, U22), deterministic
+    for a fixed seed.  Each row sums independent components (``_law_factor``),
+    so the draw is exact at any variance ratio, samples singular
+    description-noise blocks exactly, and moves continuously with the scheme."""
     if not (isinstance(n, int) and n >= 1):
         raise InvalidParamsError(f"n must be a positive integer, got {n!r}")
-    cov = build_joint_cov(model, params)
-    eig, vec = np.linalg.eigh(cov.matrix)
-    factor = vec * np.sqrt(np.clip(eig, 0.0, None))
+    labels, factor = _law_factor(model, params)
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    z = rng.standard_normal((n, len(cov.labels)))
-    return JointSamples(labels=cov.labels, data=z @ factor.T, seed=int(seed))
+    z = rng.standard_normal((n, len(labels)))
+    return JointSamples(labels=labels, data=z @ factor.T, seed=int(seed))
 
 
 def empirical_mmse(
@@ -79,13 +89,12 @@ def empirical_mmse(
     y = samples.column(target)
     cols = [samples.column(g) for g in given]
     design = np.column_stack([np.ones(samples.n)] + cols)
-    sv = np.linalg.svd(design, compute_uv=False)
+    coef, _, _, sv = np.linalg.lstsq(design, y, rcond=None)
     if sv[-1] < COLLINEARITY_RTOL * sv[0]:
         raise DegenerateRegressionError(
             f"conditioning columns {tuple(given)} are collinear "
             f"(singular-value ratio {sv[-1] / sv[0]:.2e})"
         )
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     residual_sq = (y - design @ coef) ** 2
     estimate = float(residual_sq.mean())
     stderr = float(residual_sq.std(ddof=1) / math.sqrt(samples.n))

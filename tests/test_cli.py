@@ -177,6 +177,20 @@ class TestVerifyCommand:
         assert out["identity_diff"] <= 1e-9
         assert out["relative_gap"] <= 1e-3
 
+    def test_identity_is_exact_where_the_informations_vanish(self, tmp_path, capsys):
+        # asym_noise_in: encoder 1 is on F_k2 (a = 0, sigma_z = 0), where the
+        # conditional information is 0 and the identity holds to roundoff.
+        doc = {
+            "model": {"sigma_s2": 1.0, "sigma_n1_2": 0.3, "sigma_n2_2": 3.0},
+            "targets": {"d1": 0.225, "d2": 0.225, "d0": 0.222},
+        }
+        path = write_instance(tmp_path, doc)
+        assert main(["verify", "--instance", path, "--output", "json"]) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        assert out["cases"][0] == "F_k2"
+        assert out["conditional_mi"][0] == 0.0
+        assert out["identity_diff"] <= 1e-14
+
     def test_outside_condition_exits_4(self, tmp_path, capsys):
         doc = {"model": CANONICAL_DOC["model"], "targets": {"d1": 0.4, "d2": 0.4, "d0": 0.3}}
         path = write_instance(tmp_path, doc)

@@ -23,10 +23,16 @@ from vceo import (
     solve_a_star,
     sum_rate,
 )
-from vceo.equivalence import _construct_encoder
-from vceo.gaussmodel import conditional_cov
+from vceo.equivalence import _channel_residual_mi, _construct_encoder
+from vceo.gaussmodel import conditional_cov, conditional_mi
 
-from conftest import log_det_sum_rate, random_condition_targets, random_model, sample_F_point
+from conftest import (
+    log_det_sum_rate,
+    random_condition_targets,
+    random_model,
+    random_params,
+    sample_F_point,
+)
 
 UNIT = SourceModel(1.0, 1.0, 1.0)
 
@@ -140,6 +146,33 @@ class TestSolveAStar:
     def test_bad_bracket_rejected(self):
         with pytest.raises(DomainError):
             solve_a_star(1.0, AlphaTriple(1.0, 1.0, 1.0))  # g(0) < 0
+
+
+class TestChannelResidualMi:
+    def test_matches_log_det_conditioning(self, rng):
+        for _ in range(500):
+            model = random_model(rng)
+            params = random_params(rng, model)
+            noise_z = tuple(rng.uniform(0.0, 4.0, 2))
+            cov = build_joint_cov(model, params, noise_z=noise_z)
+            for k in (1, 2):
+                ref = conditional_mi(cov, f"U{k}1", f"U{k}2", ("S", f"Y{k}"))
+                val = _channel_residual_mi(model.noise_var(k), *params.encoder(k), noise_z[k - 1])
+                assert abs(val - ref) <= 1e-12 * max(1.0, ref)
+
+    def test_infinite_channel_variance_conditions_on_s_only(self, rng):
+        for _ in range(50):
+            model = random_model(rng)
+            params = random_params(rng, model)
+            cov = build_joint_cov(model, params)
+            for k in (1, 2):
+                ref = conditional_mi(cov, f"U{k}1", f"U{k}2", "S")
+                val = _channel_residual_mi(model.noise_var(k), *params.encoder(k), math.inf)
+                assert abs(val - ref) <= 1e-12 * max(1.0, ref)
+
+    def test_exactly_zero_where_the_construction_puts_it(self):
+        assert _channel_residual_mi(1.0, 0.0, 2.0, 0.0, 0.0) == 0.0  # F_k2: v = a = 0
+        assert _channel_residual_mi(2.0, 3.0, 5.0, 2.0, math.inf) == 0.0  # v = n = a
 
 
 class TestConstructMatchingScheme:

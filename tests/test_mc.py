@@ -1,18 +1,25 @@
 """Monte-Carlo oracle: reproducible sampling and empirical linear-MMSE checks."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from vceo import (
     DegenerateRegressionError,
+    DistortionTriple,
     InvalidParamsError,
     SchemeParams,
     SourceModel,
+    construct_matching_scheme,
     empirical_mmse,
+    lower_bound,
     mc_report,
     sample_joint,
 )
-from vceo.gaussmodel import JOINT_LABELS
+from vceo.gaussmodel import JOINT_LABELS, build_joint_cov
+from vceo.mc import _law_factor
 
 from conftest import random_model, random_params
 
@@ -57,6 +64,46 @@ class TestSampleJoint:
             sample_joint(UNIT, PARAMS, 0, seed=0)
 
 
+def _degenerate_scheme(rng, model, kind):
+    """A random scheme, or one with a degenerate feature: a w = 0 block, absent
+    descriptions at the 1e8 * n cap, a_k = sqrt(w_k1 w_k2), or a 1e10 spread
+    inside one W block."""
+    n = np.array([model.sigma_n1_2, model.sigma_n1_2, model.sigma_n2_2, model.sigma_n2_2])
+    w = n * np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 4))
+    rho = rng.uniform(0.0, 1.0, 2)
+    if kind == "zero_block":
+        w[0] = w[1] = 0.0
+    elif kind == "absent":
+        w[1], w[2], w[3] = 1e8 * n[1], 1e8 * n[2], 1e8 * n[3]
+    elif kind == "singular":
+        rho[:] = 1.0
+    elif kind == "spread":
+        w[0], w[1] = 1e-5 * n[0], 1e5 * n[1]
+    a1, a2 = rho[0] * math.sqrt(w[0] * w[1]), rho[1] * math.sqrt(w[2] * w[3])
+    return SchemeParams(*w, a1, a2)
+
+
+class TestLawFactor:
+    @pytest.mark.parametrize("kind", ["random", "zero_block", "absent", "singular", "spread"])
+    def test_factor_reproduces_the_joint_covariance(self, rng, kind):
+        for _ in range(100):
+            model = SourceModel(*np.exp(rng.uniform(math.log(1e-4), math.log(1e4), 3)))
+            params = _degenerate_scheme(rng, model, kind)
+            labels, factor = _law_factor(model, params)
+            cov = build_joint_cov(model, params)
+            assert labels == cov.labels
+            scale = np.sqrt(np.outer(np.diag(cov.matrix), np.diag(cov.matrix)))
+            assert np.all(np.abs(factor @ factor.T - cov.matrix) <= 1e-14 * scale)
+
+    def test_draws_are_continuous_in_the_scheme(self):
+        targets = DistortionTriple(0.4, 0.4, 0.35)
+        params = construct_matching_scheme(UNIT, targets, lower_bound(UNIT, targets).argmin).params
+        moved = dataclasses.replace(params, w11=params.w11 * (1 + 1e-8))
+        a = sample_joint(UNIT, params, 20_000, seed=0).data
+        b = sample_joint(UNIT, moved, 20_000, seed=0).data
+        assert np.max(np.abs(a - b)) <= 1e-6
+
+
 class TestEmpiricalMmse:
     def test_conditioning_on_target_itself_is_zero(self):
         samples = sample_joint(UNIT, PARAMS, 1000, seed=5)
@@ -88,6 +135,26 @@ class TestMcReport:
         report = mc_report(model, params, n=200_000, seed=13)
         assert report.passed()
         assert len(report.rows) == 7
+
+    # Schemes that `vceo sum-rate` reports at (sigma_s2, n1, n2) = (1, n1, 1/n1):
+    # description noise 1e3-1e4 times the noise variance next to absent
+    # descriptions at 1e8 * n2.
+    @pytest.mark.parametrize(
+        "n1, params",
+        [
+            (1e-3, SchemeParams(0.9990000000095711, 0.12400000000016036, 100000000000.00015,
+                                100000000000.00015, 0.001, 0.0)),  # D = (0.5, 0.5, 0.1)
+            (1e-3, SchemeParams(0.4275714285732638, 1.4989999976335877, 100000000000.00015,
+                                100000000000.00015, 0.001, 0.0)),  # D = (0.3, 0.6, 0.25)
+            (1e-4, SchemeParams(0.9998999999983905, 0.12490000000005375, 999999999999.999,
+                                999999999999.999, 0.0001, 0.0)),  # D = (0.5, 0.5, 0.1)
+            (1e-4, SchemeParams(0.4284714285710161, 1.4998999999878735, 999999999999.999,
+                                999999999999.999, 0.0001, 0.0)),  # D = (0.3, 0.6, 0.25)
+        ],
+    )
+    def test_extreme_variance_ratios_pass(self, n1, params):
+        report = mc_report(SourceModel(1.0, n1, 1.0 / n1), params, n=200_000)
+        assert report.passed(), [(row.name, row.z_score) for row in report.rows]
 
     def test_small_n_keeps_criterion_well_defined(self):
         report = mc_report(UNIT, PARAMS, n=10, seed=1)
