@@ -62,7 +62,7 @@ LN2 = math.log(2.0)
 #: Smallest Monte-Carlo sample count: ``mc.empirical_mmse`` needs two samples.
 MIN_SAMPLES = 2
 #: Smallest value of each integer option that has one.
-OPTION_MINIMUMS = {"starts": 1, "grid": _bound.MIN_GRID}
+OPTION_MINIMUMS = {"starts": 1, "grid": _bound.MIN_GRID, "seed": 0}
 
 
 @dataclass(frozen=True)

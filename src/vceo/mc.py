@@ -12,6 +12,8 @@ analytic conditional variances up to O(k/n) fit bias.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +27,11 @@ __all__ = ["JointSamples", "McRow", "McReport", "sample_joint", "empirical_mmse"
 
 #: Relative singular-value cutoff below which conditioning columns are collinear.
 COLLINEARITY_RTOL = 1e-10
+#: Rows per block of the blocked QR in ``_fit``: each block's R factor is at
+#: most 8 x 8, so the stacked factors stay small while a block stays in cache.
+_QR_BLOCK_ROWS = 4096
+#: Philox takes a 128-bit key.
+_SEED_LIMIT = 2**128
 
 
 @dataclass(frozen=True)
@@ -39,11 +46,14 @@ class JointSamples:
     def n(self) -> int:
         return self.data.shape[0]
 
-    def column(self, label: str) -> np.ndarray:
+    def index(self, label: str) -> int:
         try:
-            return self.data[:, self.labels.index(label)]
+            return self.labels.index(label)
         except ValueError:
             raise InvalidParamsError(f"unknown label {label!r}; have {self.labels}") from None
+
+    def column(self, label: str) -> np.ndarray:
+        return self.data[:, self.index(label)]
 
 
 def _law_factor(model: SourceModel, params: SchemeParams) -> tuple[tuple[str, ...], np.ndarray]:
@@ -65,12 +75,78 @@ def sample_joint(model: SourceModel, params: SchemeParams, n: int, seed: int) ->
     for a fixed seed.  Each row sums independent components (``_law_factor``),
     so the draw is exact at any variance ratio, samples singular
     description-noise blocks exactly, and moves continuously with the scheme."""
-    if not (isinstance(n, int) and n >= 1):
-        raise InvalidParamsError(f"n must be a positive integer, got {n!r}")
+    n = _integer("n", n, 1)
+    seed = _integer("seed", seed, 0, _SEED_LIMIT)
     labels, factor = _law_factor(model, params)
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    rng = np.random.Generator(np.random.Philox(key=seed))
     z = rng.standard_normal((n, len(labels)))
-    return JointSamples(labels=labels, data=z @ factor.T, seed=int(seed))
+    return JointSamples(labels=labels, data=z @ factor.T, seed=seed)
+
+
+def _integer(name: str, value, low: int, high: float = math.inf) -> int:
+    """``value`` as an int in ``[low, high)``; bools and non-integers are rejected."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        index = operator.index(value)
+    except TypeError:
+        raise InvalidParamsError(f"{name} must be an integer, got {value!r}") from None
+    if not low <= index < high:
+        raise InvalidParamsError(f"{name} must be in [{low}, {high}), got {value!r}")
+    return index
+
+
+def _r_factor(data: np.ndarray, columns: list[int]) -> np.ndarray:
+    """R of the QR factorisation of ``[1, data[:, columns]]``, taken block by
+    block (TSQR): the block R's are stacked and factored once more, so the
+    full design is never formed and its condition number is not squared."""
+    n, m = data.shape[0], len(columns) + 1
+    factors = []
+    for start in range(0, n, _QR_BLOCK_ROWS):
+        rows = data[start : start + _QR_BLOCK_ROWS]
+        block = np.empty((rows.shape[0], m))
+        block[:, 0] = 1.0
+        block[:, 1:] = rows[:, columns]
+        factors.append(np.linalg.qr(block, mode="r"))
+    return np.linalg.qr(np.concatenate(factors), mode="r")
+
+
+def _fit(
+    samples: JointSamples, regressions: Sequence[tuple[str, Sequence[str]]]
+) -> list[tuple[float, float]]:
+    """(mean squared residual, its standard error) of the least-squares linear
+    predictor of each ``(target, given)`` pair, with an intercept.
+
+    One R factor of the columns used serves every regression: ``||A c|| =
+    ||R c||`` for any combination ``c`` of those columns, so each coefficient
+    vector and its singular values are those of the n-row problem.  All
+    residuals then come from one product with the sample matrix.
+    """
+    if samples.n < 2:
+        raise InvalidParamsError("at least 2 samples are required")
+    indexed = [(samples.index(t), [samples.index(g) for g in given]) for t, given in regressions]
+    used = sorted({c for t, cols in indexed for c in (t, *cols)})
+    r = _r_factor(samples.data, used)
+    r_col = {c: k + 1 for k, c in enumerate(used)}  # sample column -> R column
+    # Residual j is weights[j] . row - offsets[j] for each sample row.
+    weights = np.zeros((len(indexed), samples.data.shape[1]))
+    offsets = np.empty(len(indexed))
+    for j, ((t, cols), (_, given)) in enumerate(zip(indexed, regressions)):
+        design = r[:, [0] + [r_col[c] for c in cols]]
+        coef, _, _, sv = np.linalg.lstsq(design, r[:, r_col[t]], rcond=None)
+        if sv[-1] < COLLINEARITY_RTOL * sv[0]:
+            raise DegenerateRegressionError(
+                f"conditioning columns {tuple(given)} are collinear "
+                f"(singular-value ratio {sv[-1] / sv[0]:.2e})"
+            )
+        weights[j, t] += 1.0
+        np.subtract.at(weights[j], cols, coef[1:])
+        offsets[j] = coef[0]
+    residual_sq = weights @ samples.data.T
+    residual_sq -= offsets[:, None]
+    np.square(residual_sq, out=residual_sq)
+    root_n = math.sqrt(samples.n)
+    return [(float(row.mean()), float(row.std(ddof=1) / root_n)) for row in residual_sq]
 
 
 def empirical_mmse(
@@ -84,21 +160,7 @@ def empirical_mmse(
     Empty conditioning returns the (biased, ddof=0) sample variance of the
     target.  Collinear conditioning columns raise DegenerateRegressionError.
     """
-    if samples.n < 2:
-        raise InvalidParamsError("at least 2 samples are required")
-    y = samples.column(target)
-    cols = [samples.column(g) for g in given]
-    design = np.column_stack([np.ones(samples.n)] + cols)
-    coef, _, _, sv = np.linalg.lstsq(design, y, rcond=None)
-    if sv[-1] < COLLINEARITY_RTOL * sv[0]:
-        raise DegenerateRegressionError(
-            f"conditioning columns {tuple(given)} are collinear "
-            f"(singular-value ratio {sv[-1] / sv[0]:.2e})"
-        )
-    residual_sq = (y - design @ coef) ** 2
-    estimate = float(residual_sq.mean())
-    stderr = float(residual_sq.std(ddof=1) / math.sqrt(samples.n))
-    return estimate, stderr
+    return _fit(samples, [(target, given)])[0]
 
 
 @dataclass(frozen=True)
@@ -151,8 +213,9 @@ def mc_report(
         ("d'_21", mp.d21, "X2", ("U21", "S")),
         ("d'_22", mp.d22, "X2", ("U22", "S")),
     ]
-    rows = []
-    for name, analytic, target, given in quantities:
-        est, stderr = empirical_mmse(samples, target, given)
-        rows.append(McRow(name=name, analytic=analytic, empirical=est, stderr=stderr))
-    return McReport(n_samples=n, seed=int(seed), rows=tuple(rows))
+    fits = _fit(samples, [(target, given) for _, _, target, given in quantities])
+    rows = tuple(
+        McRow(name=name, analytic=analytic, empirical=est, stderr=stderr)
+        for (name, analytic, _, _), (est, stderr) in zip(quantities, fits)
+    )
+    return McReport(n_samples=samples.n, seed=samples.seed, rows=rows)

@@ -271,6 +271,31 @@ class TestStartsValidation:
         assert json.loads(capsys.readouterr().out)["achieved_distortions"]["delta_0"] <= 0.4 + 1e-9
 
 
+class TestSeedValidation:
+    @pytest.mark.parametrize("command", ["sum-rate", "mc-check"])
+    def test_negative_seed_flag_is_a_parse_error(self, tmp_path, capsys, monkeypatch, command):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work ran before --seed was checked")
+
+        monkeypatch.setattr(vceo.scheme, "optimize_sum_rate", forbidden)
+        monkeypatch.setattr(vceo.bound, "lower_bound", forbidden)
+        # Outside the condition, where sum-rate seeds the optimizer's own generator.
+        doc = {"model": CANONICAL_DOC["model"], "targets": {"d1": 0.6, "d2": 0.6, "d0": 0.4}}
+        path = write_instance(tmp_path, doc)
+        assert main([command, "--instance", path, "--seed", "-1"]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "--seed" in captured.err
+        assert captured.out == ""
+
+    def test_negative_seed_instance_option_rejected(self, tmp_path, capsys):
+        doc = dict(CANONICAL_DOC, options={"seed": -1})
+        with pytest.raises(InstanceParseError, match="options.seed"):
+            parse_instance(json.dumps(doc))
+        path = write_instance(tmp_path, doc)
+        assert main(["mc-check", "--instance", path]) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith("error:")
+
+
 class TestConstructionIsTheAnswer:
     """Inside the distortion condition the matching construction is the achievable scheme."""
 

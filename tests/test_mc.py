@@ -19,7 +19,7 @@ from vceo import (
     sample_joint,
 )
 from vceo.gaussmodel import JOINT_LABELS, build_joint_cov
-from vceo.mc import _law_factor
+from vceo.mc import _QR_BLOCK_ROWS, COLLINEARITY_RTOL, _law_factor
 
 from conftest import random_model, random_params
 
@@ -60,8 +60,24 @@ class TestSampleJoint:
         assert np.allclose(samples.column("U11"), samples.column("X1"))
 
     def test_rejects_bad_n(self):
+        for n in (0, -3, True, 1.5, "10"):
+            with pytest.raises(InvalidParamsError, match="n must be"):
+                sample_joint(UNIT, PARAMS, n, seed=0)
+
+    def test_rejects_bad_seed(self):
+        for seed in (-1, True, 1.5, "3", 2**128):
+            with pytest.raises(InvalidParamsError, match="seed must be"):
+                sample_joint(UNIT, PARAMS, 10, seed=seed)
+
+    def test_numpy_integers_accepted(self):
+        a = sample_joint(UNIT, PARAMS, np.int64(1000), seed=np.int64(7))
+        b = sample_joint(UNIT, PARAMS, 1000, seed=7)
+        assert a.n == 1000 and a.seed == 7 and type(a.seed) is int
+        assert np.array_equal(a.data, b.data)
+
+    def test_mc_report_rejects_bool_n(self):
         with pytest.raises(InvalidParamsError):
-            sample_joint(UNIT, PARAMS, 0, seed=0)
+            mc_report(UNIT, PARAMS, n=True)
 
 
 def _degenerate_scheme(rng, model, kind):
@@ -128,6 +144,88 @@ class TestEmpiricalMmse:
         assert abs(est - receiver_distortion(UNIT, PARAMS, 1)) <= 5 * stderr
 
 
+MC_QUANTITIES = (
+    ("S", ("U11", "U21")),
+    ("S", ("U12", "U22")),
+    ("S", ("U11", "U12", "U21", "U22")),
+    ("X1", ("U11", "S")),
+    ("X1", ("U12", "S")),
+    ("X2", ("U21", "S")),
+    ("X2", ("U22", "S")),
+)
+
+# Schemes that `vceo sum-rate` reports at (sigma_s2, n1, n2) = (1, n1, 1/n1):
+# description noise 1e3-1e4 times the noise variance next to absent
+# descriptions at 1e8 * n2.
+EXTREME_RATIO_SCHEMES = [
+    (1e-3, SchemeParams(0.9990000000095711, 0.12400000000016036, 100000000000.00015,
+                        100000000000.00015, 0.001, 0.0)),  # D = (0.5, 0.5, 0.1)
+    (1e-3, SchemeParams(0.4275714285732638, 1.4989999976335877, 100000000000.00015,
+                        100000000000.00015, 0.001, 0.0)),  # D = (0.3, 0.6, 0.25)
+    (1e-4, SchemeParams(0.9998999999983905, 0.12490000000005375, 999999999999.999,
+                        999999999999.999, 0.0001, 0.0)),  # D = (0.5, 0.5, 0.1)
+    (1e-4, SchemeParams(0.4284714285710161, 1.4998999999878735, 999999999999.999,
+                        999999999999.999, 0.0001, 0.0)),  # D = (0.3, 0.6, 0.25)
+]
+
+
+def dense_fit(samples, target, given):
+    """Reference fit: one SVD-based lstsq on the explicit n-row design."""
+    y = samples.column(target)
+    design = np.column_stack([np.ones(samples.n)] + [samples.column(g) for g in given])
+    coef, _, _, sv = np.linalg.lstsq(design, y, rcond=None)
+    if sv[-1] < COLLINEARITY_RTOL * sv[0]:
+        raise DegenerateRegressionError("collinear")
+    residual_sq = (y - design @ coef) ** 2
+    return float(residual_sq.mean()), float(residual_sq.std(ddof=1)) / math.sqrt(samples.n)
+
+
+class TestSharedFit:
+    """`mc_report` and `empirical_mmse` share one blocked-QR fit; it must agree
+    with the dense per-regression lstsq it replaced."""
+
+    def test_report_rows_equal_empirical_mmse(self, rng):
+        model = random_model(rng)
+        params = random_params(rng, model)
+        report = mc_report(model, params, n=50_000, seed=4)
+        samples = sample_joint(model, params, 50_000, seed=4)
+        for row, (target, given) in zip(report.rows, MC_QUANTITIES):
+            est, stderr = empirical_mmse(samples, target, given)
+            assert row.empirical == pytest.approx(est, rel=1e-12)
+            assert row.stderr == pytest.approx(stderr, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "n", [2, 7, 10, _QR_BLOCK_ROWS - 1, _QR_BLOCK_ROWS + 1, 3 * _QR_BLOCK_ROWS + 5]
+    )
+    @pytest.mark.parametrize("params", [PARAMS, SchemeParams(0, 0, 1, 1)])
+    def test_matches_dense_lstsq_across_block_boundaries(self, n, params):
+        samples = sample_joint(UNIT, params, n, seed=n)
+        # With w = 0 blocks U11 == X1, so ("X1", "U11") is collinear once n > 2.
+        for target, given in MC_QUANTITIES + (("S", ()), ("S", ("X1", "U11"))):
+            try:
+                expected = dense_fit(samples, target, given)
+            except DegenerateRegressionError:
+                with pytest.raises(DegenerateRegressionError):
+                    empirical_mmse(samples, target, given)
+                continue
+            # Exact fits (n <= number of columns) leave residuals at roundoff
+            # of the target's scale, so compare on that scale.
+            scale = float(np.mean(samples.column(target) ** 2))
+            got = empirical_mmse(samples, target, given)
+            assert got[0] == pytest.approx(expected[0], rel=1e-12, abs=1e-12 * scale)
+            assert got[1] == pytest.approx(expected[1], rel=1e-12, abs=1e-12 * scale)
+
+    @pytest.mark.parametrize("n1, params", EXTREME_RATIO_SCHEMES)
+    def test_extreme_variance_ratios_match_dense_lstsq(self, n1, params):
+        model = SourceModel(1.0, n1, 1.0 / n1)
+        report = mc_report(model, params, n=200_000, seed=0)
+        samples = sample_joint(model, params, 200_000, seed=0)
+        for row, (target, given) in zip(report.rows, MC_QUANTITIES):
+            est, stderr = dense_fit(samples, target, given)
+            assert abs(row.empirical - est) <= 1e-9 * stderr, row.name
+            assert abs(row.stderr - stderr) <= 1e-9 * stderr, row.name
+
+
 class TestMcReport:
     def test_all_quantities_pass_at_default_scale(self, rng):
         model = random_model(rng)
@@ -136,22 +234,7 @@ class TestMcReport:
         assert report.passed()
         assert len(report.rows) == 7
 
-    # Schemes that `vceo sum-rate` reports at (sigma_s2, n1, n2) = (1, n1, 1/n1):
-    # description noise 1e3-1e4 times the noise variance next to absent
-    # descriptions at 1e8 * n2.
-    @pytest.mark.parametrize(
-        "n1, params",
-        [
-            (1e-3, SchemeParams(0.9990000000095711, 0.12400000000016036, 100000000000.00015,
-                                100000000000.00015, 0.001, 0.0)),  # D = (0.5, 0.5, 0.1)
-            (1e-3, SchemeParams(0.4275714285732638, 1.4989999976335877, 100000000000.00015,
-                                100000000000.00015, 0.001, 0.0)),  # D = (0.3, 0.6, 0.25)
-            (1e-4, SchemeParams(0.9998999999983905, 0.12490000000005375, 999999999999.999,
-                                999999999999.999, 0.0001, 0.0)),  # D = (0.5, 0.5, 0.1)
-            (1e-4, SchemeParams(0.4284714285710161, 1.4998999999878735, 999999999999.999,
-                                999999999999.999, 0.0001, 0.0)),  # D = (0.3, 0.6, 0.25)
-        ],
-    )
+    @pytest.mark.parametrize("n1, params", EXTREME_RATIO_SCHEMES)
     def test_extreme_variance_ratios_pass(self, n1, params):
         report = mc_report(SourceModel(1.0, n1, 1.0 / n1), params, n=200_000)
         assert report.passed(), [(row.name, row.z_score) for row in report.rows]
