@@ -36,7 +36,7 @@ from enum import Enum
 import numpy as np
 import scipy.optimize
 
-from .errors import DomainError, InfeasibleTargetsError, InvalidParamsError
+from .errors import DomainError, InfeasibleTargetsError, InvalidParamsError, require_int
 from .gaussmodel import SourceModel
 from .scheme import (
     BoundParams,
@@ -306,7 +306,7 @@ def _grid_search(evaluate, box, n_pts: int, refine: int):
     best, best_at = math.inf, None
     axes = [np.linspace(lo, hi, n_pts) for lo, hi in box]
     span = [hi - lo for lo, hi in box]
-    for _ in range(max(int(refine), 0) + 1):
+    for _ in range(refine + 1):
         obj = evaluate(*axes)
         at = np.unravel_index(int(np.argmin(obj)), obj.shape)
         if obj[at] < best:
@@ -374,11 +374,12 @@ def lower_bound(
 
     Raises InfeasibleTargetsError when the critical manifold is empty (a
     target below the remote MMSE floor), naming the violated constraint, and
-    InvalidParamsError for ``grid < MIN_GRID``: two points per axis scan
-    only the box corners and miss a manifold that is not empty.
+    InvalidParamsError unless ``grid`` is an integer >= MIN_GRID (two points
+    per axis scan only the box corners and miss a manifold that is not empty)
+    and ``refine`` an integer >= 0.
     """
-    if grid < MIN_GRID:
-        raise InvalidParamsError(f"grid must be >= {MIN_GRID}, got {grid!r}")
+    grid = require_int("grid", grid, MIN_GRID)
+    refine = require_int("refine", refine, 0)
     require_valid_targets(model, targets)
     s2, n1, n2 = model.sigma_s2, model.sigma_n1_2, model.sigma_n2_2
     # Precision each receiver must gain over the prior: (1 - d_1l/n_1)/n_1
@@ -414,7 +415,7 @@ def lower_bound(
         return np.where(np.isfinite(obj), obj, np.inf)
 
     box = [(max(0.0, 1.0 - n1 * need), min(1.0, 1.0 - n1 * need + n1 / n2)) for need in q[:2]]
-    best, best_at = _grid_search(scan, box, int(grid), refine)
+    best, best_at = _grid_search(scan, box, grid, refine)
     if not math.isfinite(best):
         raise InfeasibleTargetsError(
             "the critical manifold is empty for these targets", constraint="d0"

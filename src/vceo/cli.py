@@ -16,7 +16,11 @@ Instance schema (all numbers are decimal doubles)::
       "options": {"tol": 1e-7, "starts": 16, "grid": 64, "seed": 0, "unit": "nats"}
     }
 
-The ``options`` section is optional and CLI flags override it.  All internal
+The ``options`` section is optional and CLI flags override it.  Each option
+has one range, in the file and as a flag: ``tol`` finite and >= 0, ``starts``
+an integer >= 1, ``grid`` an integer >= 3, ``seed`` an integer in
+[0, 2**128) for every command, ``unit`` "nats" or "bits".  Booleans are not
+numbers (the library types also take numpy scalars).  All internal
 values are nats; ``--bits`` only converts at render time.  Exit codes:
 0 ok, 1 parse error, 2 infeasible targets, 3 verification failure,
 4 outside the distortion condition.
@@ -36,7 +40,13 @@ from . import bound as _bound
 from . import equivalence as _equivalence
 from . import mc as _mc
 from . import scheme as _scheme
-from .errors import InfeasibleTargetsError, InstanceParseError, InvalidParamsError, VceoError
+from .errors import (
+    InfeasibleTargetsError,
+    InstanceParseError,
+    InvalidParamsError,
+    VceoError,
+    require_int,
+)
 from .gaussmodel import SourceModel
 from .scheme import DistortionTriple, OptimizeOptions, OptimizeResult
 
@@ -59,21 +69,26 @@ SWEEP_COLUMNS = (
 SWEEP_VARS = ("d0", "d1", "d2", "sigma_s2", "sigma_n1_2", "sigma_n2_2")
 
 LN2 = math.log(2.0)
-#: Smallest Monte-Carlo sample count: ``mc.empirical_mmse`` needs two samples.
-MIN_SAMPLES = 2
-#: Smallest value of each integer option that has one.
-OPTION_MINIMUMS = {"starts": 1, "grid": _bound.MIN_GRID, "seed": 0}
 
 
 @dataclass(frozen=True)
 class Options:
-    """Solver options carried by an instance file."""
+    """Solver options of an instance file, overridden by flags; ``starts``,
+    ``tol`` and ``seed`` are checked by ``OptimizeOptions``."""
 
     tol: float = 1e-7
     starts: int = 16
     grid: int = 64
     seed: int = 0
     unit: str = "nats"
+
+    def __post_init__(self) -> None:
+        solver = OptimizeOptions(self.starts, self.tol, self.seed)
+        for name in ("starts", "tol", "seed"):
+            object.__setattr__(self, name, getattr(solver, name))
+        object.__setattr__(self, "grid", require_int("grid", self.grid, _bound.MIN_GRID))
+        if self.unit not in ("nats", "bits"):
+            raise InvalidParamsError(f"unit must be 'nats' or 'bits', got {self.unit!r}")
 
 
 @dataclass(frozen=True)
@@ -83,98 +98,45 @@ class InstanceSpec:
     options: Options = Options()
 
 
-def _require_number(section: dict, key: str, where: str) -> float:
-    if key not in section:
-        raise InstanceParseError(f"missing field {where}.{key}")
-    v = section[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise InstanceParseError(f"field {where}.{key} must be a number, got {v!r}")
-    return float(v)
-
-
-def _valid_tol(tol: float) -> bool:
-    return math.isfinite(tol) and tol >= 0
+#: The three sections of an instance file; "options" may be left out.
+SECTIONS = {"model": SourceModel, "targets": DistortionTriple, "options": Options}
 
 
 def parse_instance(text: str) -> InstanceSpec:
-    """Parse and validate an instance document; diagnostics carry line/field."""
+    """Parse and validate an instance document; diagnostics carry line/field.
+    Each section takes the fields, defaults and checks of its dataclass."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise InstanceParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from e
     if not isinstance(doc, dict):
         raise InstanceParseError("top level must be an object")
-    unknown = set(doc) - {"model", "targets", "options"}
+    unknown = set(doc) - SECTIONS.keys()
     if unknown:
         raise InstanceParseError(f"unknown top-level field(s): {sorted(unknown)}")
-    for section in ("model", "targets"):
-        if section not in doc or not isinstance(doc[section], dict):
+    parts = {}
+    for section, cls in SECTIONS.items():
+        fields = dataclasses.fields(cls)
+        required = [f.name for f in fields if f.default is dataclasses.MISSING]
+        body = doc.get(section, None if required else {})
+        if not isinstance(body, dict):
             raise InstanceParseError(f"missing or non-object section {section!r}")
-
-    m = doc["model"]
-    unknown = set(m) - {"sigma_s2", "sigma_n1_2", "sigma_n2_2"}
-    if unknown:
-        raise InstanceParseError(f"unknown field(s) in model: {sorted(unknown)}")
-    try:
-        model = SourceModel(
-            sigma_s2=_require_number(m, "sigma_s2", "model"),
-            sigma_n1_2=_require_number(m, "sigma_n1_2", "model"),
-            sigma_n2_2=_require_number(m, "sigma_n2_2", "model"),
-        )
-    except InvalidParamsError as e:
-        raise InstanceParseError(f"model: {e}") from e
-
-    t = doc["targets"]
-    unknown = set(t) - {"d1", "d2", "d0"}
-    if unknown:
-        raise InstanceParseError(f"unknown field(s) in targets: {sorted(unknown)}")
-    try:
-        targets = DistortionTriple(
-            d1=_require_number(t, "d1", "targets"),
-            d2=_require_number(t, "d2", "targets"),
-            d0=_require_number(t, "d0", "targets"),
-        )
-    except InvalidParamsError as e:
-        raise InstanceParseError(f"targets: {e}") from e
-
-    opts = Options()
-    if "options" in doc:
-        o = doc["options"]
-        if not isinstance(o, dict):
-            raise InstanceParseError("options must be an object")
-        unknown = set(o) - {"tol", "starts", "grid", "seed", "unit"}
+        unknown = set(body) - {f.name for f in fields}
         if unknown:
-            raise InstanceParseError(f"unknown field(s) in options: {sorted(unknown)}")
-        kwargs: dict[str, Any] = {}
-        if "tol" in o:
-            tol = kwargs["tol"] = _require_number(o, "tol", "options")
-            if not _valid_tol(tol):
-                raise InstanceParseError(f"options.tol must be finite and >= 0, got {tol!r}")
-        for key in ("starts", "grid", "seed"):
-            if key in o:
-                v = o[key]
-                if isinstance(v, bool) or not isinstance(v, int):
-                    raise InstanceParseError(f"options.{key} must be an integer, got {v!r}")
-                kwargs[key] = v
-        for key, low in OPTION_MINIMUMS.items():
-            if key in kwargs and kwargs[key] < low:
-                raise InstanceParseError(f"options.{key} must be >= {low}, got {kwargs[key]!r}")
-        if "unit" in o:
-            if o["unit"] not in ("nats", "bits"):
-                raise InstanceParseError(f"options.unit must be 'nats' or 'bits', got {o['unit']!r}")
-            kwargs["unit"] = o["unit"]
-        opts = Options(**kwargs)
-    return InstanceSpec(model=model, targets=targets, options=opts)
+            raise InstanceParseError(f"unknown field(s) in {section}: {sorted(unknown)}")
+        for key in required:
+            if key not in body:
+                raise InstanceParseError(f"missing field {section}.{key}")
+        try:
+            parts[section] = cls(**body)
+        except InvalidParamsError as e:
+            raise InstanceParseError(f"{section}.{e}") from e
+    return InstanceSpec(**parts)
 
 
 def serialize_instance(spec: InstanceSpec) -> str:
     """Canonical form: sorted keys, two-space indent, trailing newline."""
-    doc = {
-        "model": dataclasses.asdict(spec.model),
-        "targets": dataclasses.asdict(spec.targets),
-        "options": dataclasses.asdict(spec.options),
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(dataclasses.asdict(spec), indent=2, sort_keys=True) + "\n"
 
 
 def load_instance(path: str) -> InstanceSpec:
@@ -227,17 +189,6 @@ def _fmt_value(v: Any) -> str:
     if isinstance(v, (list, tuple)):
         return "(" + ", ".join(_fmt_value(x) for x in v) + ")"
     return str(v)
-
-
-def _merged_options(spec: InstanceSpec, args: argparse.Namespace) -> Options:
-    updates: dict[str, Any] = {
-        key: getattr(args, key)
-        for key in ("tol", "starts", "grid", "seed")
-        if getattr(args, key) is not None
-    }
-    if args.bits:
-        updates["unit"] = "bits"
-    return dataclasses.replace(spec.options, **updates)
 
 
 def _achievable(
@@ -368,8 +319,6 @@ def cmd_sweep(
 ) -> int:
     if var not in SWEEP_VARS:
         raise InstanceParseError(f"unknown sweep variable {var!r}; choose from {SWEEP_VARS}")
-    if steps < 1:
-        raise InstanceParseError("steps must be >= 1")
     print(",".join(SWEEP_COLUMNS), file=out)
     for i in range(steps):
         value = start if steps == 1 else start + (stop - start) * i / (steps - 1)
@@ -459,23 +408,28 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     out = sys.stdout
-    if args.tol is not None and not _valid_tol(args.tol):
-        print(f"error: --tol must be finite and >= 0, got {args.tol!r}", file=sys.stderr)
-        return EXIT_PARSE
-    for key, low in OPTION_MINIMUMS.items():
-        value = getattr(args, key)
-        if value is not None and value < low:
-            print(f"error: --{key} must be >= {low}, got {value!r}", file=sys.stderr)
-            return EXIT_PARSE
-    if args.command == "mc-check" and args.n < MIN_SAMPLES:
-        print(f"error: --n must be >= {MIN_SAMPLES}, got {args.n!r}", file=sys.stderr)
+    flags: dict[str, Any] = {
+        key: getattr(args, key)
+        for key in ("tol", "starts", "grid", "seed")
+        if getattr(args, key) is not None
+    }
+    if args.bits:
+        flags["unit"] = "bits"
+    try:  # the flags alone, before any work runs
+        Options(**flags)
+        if args.command == "mc-check":
+            require_int("n", args.n, _mc.MIN_SAMPLES)
+        if args.command == "sweep":
+            require_int("steps", args.steps, 1)
+    except InvalidParamsError as e:
+        print(f"error: --{e}", file=sys.stderr)
         return EXIT_PARSE
     try:
         spec = load_instance(args.instance)
     except InstanceParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    opts = _merged_options(spec, args)
+    opts = dataclasses.replace(spec.options, **flags)
     fmt = args.output or ("csv" if args.command == "sweep" else "text")
     if fmt == "csv" and args.command != "sweep":
         print("error: csv output is only available for sweep", file=sys.stderr)

@@ -1,4 +1,12 @@
-"""Semantic exception types shared across the package."""
+"""Semantic exception types shared across the package, and the two input
+validators every constructor and entry point uses.
+
+This is the bottom layer: it imports no sibling module.
+"""
+
+import math
+import numbers
+import operator
 
 
 class VceoError(Exception):
@@ -42,3 +50,35 @@ class DegenerateRegressionError(VceoError):
 
 class InstanceParseError(VceoError, ValueError):
     """Instance file is malformed; message carries the line/field diagnostic."""
+
+
+def require_real(
+    name: str, value, low: float = 0.0, strict: bool = False, allow_inf: bool = False
+) -> float:
+    """``value`` as a float: a real number (numpy scalars included, bools not),
+    never NaN, finite unless ``allow_inf``, and ``>= low`` (``> low`` when ``strict``)."""
+    try:
+        # float and int first: the numbers.Real check alone is slow.
+        if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
+            raise TypeError
+        v = float(value)
+    except (TypeError, OverflowError):
+        v = math.nan
+    if (v > low if strict else v >= low) and (allow_inf or math.isfinite(v)):
+        return v
+    kind = "number" if allow_inf else "finite number"
+    op = ">" if strict else ">="
+    raise InvalidParamsError(f"{name} must be a {kind} {op} {low:g}, got {value!r}")
+
+
+def require_int(name: str, value, low: int, high: float = math.inf) -> int:
+    """``value`` as an int in ``[low, high)``; bools and non-integers are rejected."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        index = operator.index(value)
+    except TypeError:
+        raise InvalidParamsError(f"{name} must be an integer, got {value!r}") from None
+    if not low <= index < high:
+        raise InvalidParamsError(f"{name} must be in [{low}, {high}), got {value!r}")
+    return index

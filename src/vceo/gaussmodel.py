@@ -19,7 +19,6 @@ complement with an eigenvalue-cutoff pseudo-inverse, so degenerate limits
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -29,6 +28,7 @@ from .errors import (
     DegenerateConditioningError,
     InfiniteMutualInformationError,
     InvalidParamsError,
+    require_real,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import only for annotations
@@ -65,10 +65,7 @@ class SourceModel:
 
     def __post_init__(self) -> None:
         for name in ("sigma_s2", "sigma_n1_2", "sigma_n2_2"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise InvalidParamsError(f"{name} must be a finite positive number, got {v!r}")
-            object.__setattr__(self, name, float(v))
+            object.__setattr__(self, name, require_real(name, getattr(self, name), strict=True))
 
     def noise_var(self, k: int) -> float:
         """Observation-noise variance of encoder ``k`` (1 or 2)."""
@@ -142,24 +139,14 @@ def build_joint_cov(
     """Assemble the joint covariance of (S, X1, X2, U11, U12, U21, U22[, Y1, Y2]).
 
     ``params`` supplies the description-noise covariance: per-encoder blocks
-    [[w_k1, -a_k], [-a_k, w_k2]], zero across encoders.  ``noise_z`` adds the
-    Y_k = X_k + Z_k rows with the given variances (each >= 0).
+    [[w_k1, -a_k], [-a_k, w_k2]], zero across encoders, PSD by the
+    ``SchemeParams`` invariant.  ``noise_z`` adds the Y_k = X_k + Z_k rows
+    with the given variances.
 
-    Raises InvalidParamsError if the description-noise covariance is not PSD
-    (w_k1 * w_k2 < a_k**2) or a Z variance is negative.
+    Raises InvalidParamsError if a Z variance is negative or not finite.
     """
-    for k in (1, 2):
-        w1, w2, a = params.encoder(k)
-        if w1 * w2 < a * a * (1.0 - 1e-12):
-            raise InvalidParamsError(
-                f"description-noise covariance of encoder {k} is not PSD: "
-                f"w_{k}1 * w_{k}2 = {w1 * w2:.6g} < a_{k}^2 = {a * a:.6g}"
-            )
     if noise_z is not None:
-        z1, z2 = (float(noise_z[0]), float(noise_z[1]))
-        if not (math.isfinite(z1) and math.isfinite(z2) and z1 >= 0.0 and z2 >= 0.0):
-            raise InvalidParamsError(f"Z variances must be finite and >= 0, got {noise_z!r}")
-
+        noise_z = tuple(require_real(f"noise_z[{i}]", z) for i, z in enumerate(noise_z))
     labels, incidence, comp = _joint_law(model, params, noise_z)
     return LabeledCov(labels, incidence @ comp @ incidence.T)
 

@@ -12,26 +12,25 @@ analytic conditional variances up to O(k/n) fit bias.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import scheme as _scheme
-from .errors import DegenerateRegressionError, InvalidParamsError
+from .errors import DegenerateRegressionError, InvalidParamsError, require_int
 from .gaussmodel import SourceModel, _joint_law
-from .scheme import SchemeParams
+from .scheme import SEED_LIMIT, SchemeParams
 
 __all__ = ["JointSamples", "McRow", "McReport", "sample_joint", "empirical_mmse", "mc_report"]
 
 #: Relative singular-value cutoff below which conditioning columns are collinear.
 COLLINEARITY_RTOL = 1e-10
+#: Fewest samples a fit takes: the residual's standard error needs two.
+MIN_SAMPLES = 2
 #: Rows per block of the blocked QR in ``_fit``: each block's R factor is at
 #: most 8 x 8, so the stacked factors stay small while a block stays in cache.
 _QR_BLOCK_ROWS = 4096
-#: Philox takes a 128-bit key.
-_SEED_LIMIT = 2**128
 
 
 @dataclass(frozen=True)
@@ -75,25 +74,12 @@ def sample_joint(model: SourceModel, params: SchemeParams, n: int, seed: int) ->
     for a fixed seed.  Each row sums independent components (``_law_factor``),
     so the draw is exact at any variance ratio, samples singular
     description-noise blocks exactly, and moves continuously with the scheme."""
-    n = _integer("n", n, 1)
-    seed = _integer("seed", seed, 0, _SEED_LIMIT)
+    n = require_int("n", n, 1)
+    seed = require_int("seed", seed, 0, SEED_LIMIT)
     labels, factor = _law_factor(model, params)
     rng = np.random.Generator(np.random.Philox(key=seed))
     z = rng.standard_normal((n, len(labels)))
     return JointSamples(labels=labels, data=z @ factor.T, seed=seed)
-
-
-def _integer(name: str, value, low: int, high: float = math.inf) -> int:
-    """``value`` as an int in ``[low, high)``; bools and non-integers are rejected."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        index = operator.index(value)
-    except TypeError:
-        raise InvalidParamsError(f"{name} must be an integer, got {value!r}") from None
-    if not low <= index < high:
-        raise InvalidParamsError(f"{name} must be in [{low}, {high}), got {value!r}")
-    return index
 
 
 def _r_factor(data: np.ndarray, columns: list[int]) -> np.ndarray:
@@ -122,8 +108,8 @@ def _fit(
     vector and its singular values are those of the n-row problem.  All
     residuals then come from one product with the sample matrix.
     """
-    if samples.n < 2:
-        raise InvalidParamsError("at least 2 samples are required")
+    if samples.n < MIN_SAMPLES:
+        raise InvalidParamsError(f"at least {MIN_SAMPLES} samples are required")
     indexed = [(samples.index(t), [samples.index(g) for g in given]) for t, given in regressions]
     used = sorted({c for t, cols in indexed for c in (t, *cols)})
     r = _r_factor(samples.data, used)

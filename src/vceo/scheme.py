@@ -28,7 +28,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.optimize
 
-from .errors import InfeasibleTargetsError, InfiniteMutualInformationError, InvalidParamsError
+from .errors import (
+    InfeasibleTargetsError,
+    InfiniteMutualInformationError,
+    InvalidParamsError,
+    require_int,
+    require_real,
+)
 from .gaussmodel import SourceModel, build_joint_cov, conditional_mi, gaussian_mi
 
 __all__ = [
@@ -53,6 +59,9 @@ W_CAP_FACTOR = 1e8
 MAXITER = 4000
 #: Weight of the exact penalty on relative distortion violations.
 PENALTY_WEIGHT = 1e4
+#: Seeds lie in [0, SEED_LIMIT): the Monte-Carlo oracle keys Philox, which
+#: takes a 128-bit key, with the same seed the optimizer draws its starts from.
+SEED_LIMIT = 2**128
 
 
 @dataclass(frozen=True)
@@ -71,12 +80,7 @@ class SchemeParams:
 
     def __post_init__(self) -> None:
         for name in ("w11", "w12", "w21", "w22", "a1", "a2"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
-                raise InvalidParamsError(f"{name} must be finite, got {v!r}")
-            if v < 0:
-                raise InvalidParamsError(f"{name} must be >= 0, got {v!r}")
-            object.__setattr__(self, name, float(v))
+            object.__setattr__(self, name, require_real(name, getattr(self, name)))
         for k in (1, 2):
             w1, w2, a = self.encoder(k)
             if a * a > w1 * w2 * (1.0 + 1e-12) + 1e-300:
@@ -107,14 +111,10 @@ class DistortionTriple:
 
     def __post_init__(self) -> None:
         for name in ("d1", "d2", "d0"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise InvalidParamsError(f"{name} must be a finite positive number, got {v!r}")
-            object.__setattr__(self, name, float(v))
+            object.__setattr__(self, name, require_real(name, getattr(self, name), strict=True))
         if not self.d0 < min(self.d1, self.d2):
             raise InvalidParamsError(
-                f"central target d0 = {self.d0} must be strictly below "
-                f"min(d1, d2) = {min(self.d1, self.d2)}"
+                f"d0 = {self.d0} must be strictly below min(d1, d2) = {min(self.d1, self.d2)}"
             )
 
     def valid_for(self, model: SourceModel) -> bool:
@@ -145,16 +145,10 @@ class BoundParams:
     t2: float
 
     def __post_init__(self) -> None:
-        for name in ("d11", "d12", "d21", "d22"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0):
-                raise InvalidParamsError(f"{name} must be finite and >= 0, got {v!r}")
-            object.__setattr__(self, name, float(v))
-        for name in ("t1", "t2"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and not math.isnan(v) and v >= 0):
-                raise InvalidParamsError(f"{name} must be >= 0 (inf allowed), got {v!r}")
-            object.__setattr__(self, name, float(v))
+        for name in ("d11", "d12", "d21", "d22", "t1", "t2"):
+            # t = inf is the sentinel of a degenerate joint description.
+            v = require_real(name, getattr(self, name), allow_inf=name in ("t1", "t2"))
+            object.__setattr__(self, name, v)
 
     def encoder(self, k: int) -> tuple[float, float, float]:
         """(d_k1, d_k2, t_k) of encoder ``k``."""
@@ -369,9 +363,8 @@ def rate_tuple(model: SourceModel, params: SchemeParams, slack: float) -> RateBr
     Every codebook-generation and decoding inequality then holds strictly
     (margin >= eps) and the four link rates sum to sum_rate + slack.
     """
-    if not (isinstance(slack, (int, float)) and math.isfinite(slack) and slack > 0):
-        raise InvalidParamsError(f"slack must be a finite positive number, got {slack!r}")
-    eps = float(slack) / 8.0
+    slack = require_real("slack", slack, strict=True)
+    eps = slack / 8.0
     cov = build_joint_cov(model, params)
     base = sum_rate(model, params)
 
@@ -391,7 +384,7 @@ def rate_tuple(model: SourceModel, params: SchemeParams, slack: float) -> RateBr
         r21=rp21 + eps,
         r12=rp12 - i_cross_2 + eps,
         r22=rp22 + eps,
-        slack=float(slack),
+        slack=slack,
     )
 
 
@@ -400,13 +393,19 @@ class OptimizeOptions:
     """Knobs of the multistart sum-rate minimisation.
 
     ``warm_start`` injects a known-good scheme, such as the matching
-    construction at the converse argmin, as the first start.
+    construction at the converse argmin, as the first start.  Invariant:
+    ``starts >= 1``, ``tol`` finite and ``>= 0``, ``seed`` in ``[0, SEED_LIMIT)``.
     """
 
     starts: int = 16
     tol: float = 1e-7
     seed: int = 0
     warm_start: SchemeParams | None = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "starts", require_int("starts", self.starts, 1))
+        object.__setattr__(self, "tol", require_real("tol", self.tol))
+        object.__setattr__(self, "seed", require_int("seed", self.seed, 0, SEED_LIMIT))
 
 
 @dataclass(frozen=True)
@@ -605,11 +604,9 @@ def optimize_sum_rate(
     condition, the matching construction) passes it as ``opts.warm_start``.
 
     Raises InfeasibleTargetsError when a target sits below the remote MMSE
-    floor Var(S | X1, X2), and InvalidParamsError for ``opts.starts < 1``.
+    floor Var(S | X1, X2).
     """
     opts = opts or OptimizeOptions()
-    if opts.starts < 1:
-        raise InvalidParamsError(f"starts must be >= 1, got {opts.starts!r}")
     require_valid_targets(model, targets)
     floor = full_mmse(model)
     for name, target in (("d1", targets.d1), ("d2", targets.d2), ("d0", targets.d0)):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vceo import (
@@ -20,6 +20,7 @@ from vceo import (
     SourceModel,
     classify_F_k,
     condition_holds,
+    full_mmse,
     in_P,
     lower_bound,
     optimize_sum_rate,
@@ -397,12 +398,37 @@ class TestLowerBound:
         assert in_P(UNIT, CANONICAL, lb.argmin) is lb.branch
         assert reference * (1.0 - 1e-12) <= lb.value <= reference * (1.0 + 1e-9)
 
-    @pytest.mark.parametrize("grid", [2, 0, -4])
+    @pytest.mark.parametrize("grid", [2, 0, -4, 3.5])
     def test_grid_below_three_is_invalid(self, grid):
         # Two points per axis scan only the box corners, which would report
-        # these feasible targets as infeasible.
+        # these feasible targets as infeasible; a fractional grid is no grid.
         with pytest.raises(InvalidParamsError, match="grid"):
             lower_bound(UNIT, CANONICAL, grid=grid)
+
+    @pytest.mark.parametrize("refine", [-1, 2.5, True])
+    def test_refine_is_a_non_negative_integer(self, refine):
+        with pytest.raises(InvalidParamsError, match="refine"):
+            lower_bound(UNIT, CANONICAL, refine=refine)
+
+    @given(
+        log_n1=st.floats(-4.0, 4.0),
+        log_n2=st.floats(-4.0, 4.0),
+        x=st.tuples(*[st.floats(0.0, 1.0, exclude_max=True)] * 3),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_extreme_ratios_and_the_floor_give_a_value_or_infeasible(self, log_n1, log_n2, x):
+        # Variance ratios up to 1e8 and targets down to the remote-MMSE floor:
+        # valid instances, so the bound never rejects its own inputs.
+        model = SourceModel(1.0, 10.0**log_n1, 10.0**log_n2)
+        floor = full_mmse(model) * (1.0 + 1e-6)
+        d1, d2 = (floor + xi * (1.0 - floor) for xi in x[:2])
+        d0 = floor + x[2] * (min(d1, d2) - floor)
+        assume(d0 < min(d1, d2) and max(d1, d2) < 1.0)
+        try:
+            value = lower_bound(model, DistortionTriple(d1, d2, d0)).value
+        except InfeasibleTargetsError:
+            return
+        assert math.isfinite(value)
 
 
 class TestCriticalSetStructure:

@@ -272,28 +272,47 @@ class TestStartsValidation:
 
 
 class TestSeedValidation:
-    @pytest.mark.parametrize("command", ["sum-rate", "mc-check"])
-    def test_negative_seed_flag_is_a_parse_error(self, tmp_path, capsys, monkeypatch, command):
+    """Seeds lie in [0, 2**128), the key range of the Monte-Carlo generator, on
+    every command; a seed outside it fails before the bound or the optimizer runs."""
+
+    # Outside the condition, where sum-rate seeds the optimizer's own generator.
+    OUTSIDE = {"model": CANONICAL_DOC["model"], "targets": {"d1": 0.6, "d2": 0.6, "d0": 0.4}}
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
         def forbidden(*args, **kwargs):
-            raise AssertionError("work ran before --seed was checked")
+            raise AssertionError("work ran before the seed was checked")
 
         monkeypatch.setattr(vceo.scheme, "optimize_sum_rate", forbidden)
         monkeypatch.setattr(vceo.bound, "lower_bound", forbidden)
-        # Outside the condition, where sum-rate seeds the optimizer's own generator.
-        doc = {"model": CANONICAL_DOC["model"], "targets": {"d1": 0.6, "d2": 0.6, "d0": 0.4}}
-        path = write_instance(tmp_path, doc)
-        assert main([command, "--instance", path, "--seed", "-1"]) == EXIT_PARSE
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**128)], ids=["-1", "2**128"])
+    @pytest.mark.parametrize("command", ["sum-rate", "mc-check"])
+    def test_out_of_range_seed_flag_is_a_parse_error(self, tmp_path, capsys, no_work, command, seed):
+        path = write_instance(tmp_path, self.OUTSIDE)
+        assert main([command, "--instance", path, "--seed", seed]) == EXIT_PARSE
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and "--seed" in captured.err
         assert captured.out == ""
 
-    def test_negative_seed_instance_option_rejected(self, tmp_path, capsys):
-        doc = dict(CANONICAL_DOC, options={"seed": -1})
+    @pytest.mark.parametrize("seed", [-1, 2**128], ids=["-1", "2**128"])
+    @pytest.mark.parametrize("command", ["sum-rate", "mc-check"])
+    def test_out_of_range_seed_instance_option_rejected(
+        self, tmp_path, capsys, no_work, command, seed
+    ):
+        doc = dict(self.OUTSIDE, options={"seed": seed})
         with pytest.raises(InstanceParseError, match="options.seed"):
             parse_instance(json.dumps(doc))
         path = write_instance(tmp_path, doc)
-        assert main(["mc-check", "--instance", path]) == EXIT_PARSE
-        assert capsys.readouterr().err.startswith("error:")
+        assert main([command, "--instance", path]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: options.seed") and captured.out == ""
+
+    def test_largest_seed_runs(self, tmp_path, capsys):
+        path = write_instance(tmp_path, dict(self.OUTSIDE, options={"starts": 1}))
+        args = ["mc-check", "--instance", path, "--seed", str(2**128 - 1), "--n", "100"]
+        assert main(args + ["--output", "json"]) in (EXIT_OK, EXIT_VERIFY_FAIL)
+        assert json.loads(capsys.readouterr().out)["seed"] == 2**128 - 1
 
 
 class TestConstructionIsTheAnswer:

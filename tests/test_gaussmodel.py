@@ -33,6 +33,16 @@ class TestTypes:
         with pytest.raises(InvalidParamsError):
             SourceModel(math.inf, 1.0, 1.0)
 
+    @pytest.mark.parametrize("value", [np.float32(2.0), np.int64(2), 2])
+    def test_source_model_takes_numpy_scalars(self, value):
+        model = SourceModel(value, np.int64(1), 1.0)
+        assert model.sigma_s2 == 2.0 and type(model.sigma_s2) is float
+
+    @pytest.mark.parametrize("value", [True, "1", None, math.nan, pytest.param(10**400, id="10**400")])
+    def test_source_model_rejects_non_numbers(self, value):
+        with pytest.raises(InvalidParamsError, match="sigma_s2"):
+            SourceModel(value, 1, 1)
+
     def test_labeled_cov_rejects_asymmetry(self):
         with pytest.raises(InvalidParamsError):
             LabeledCov(("a", "b"), np.array([[1.0, 0.5], [0.2, 1.0]]))

@@ -70,6 +70,11 @@ def test_module_level_imports_are_acyclic():
             del remaining[module]
 
 
+def test_errors_is_the_bottom_layer():
+    # Every layer calls its validators, so it may import no sibling module.
+    assert _collect()["errors"].module_level == set()
+
+
 def test_no_function_local_relative_imports():
     local = {(name, fn) for name, c in _collect().items() for fn in c.local}
     assert not local, f"relative imports inside functions: {sorted(local)}"

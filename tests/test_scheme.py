@@ -403,6 +403,20 @@ class TestOptimizeSumRate:
         with pytest.raises(InvalidParamsError, match="starts"):
             optimize_sum_rate(UNIT, DistortionTriple(0.6, 0.6, 0.4), OptimizeOptions(starts=starts))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("starts", 2.5),
+            ("seed", -1),
+            pytest.param("seed", 2**128, id="seed-2**128"),
+            ("seed", True),
+            ("tol", math.nan),
+        ],
+    )
+    def test_options_outside_their_range_are_invalid(self, field, value):
+        with pytest.raises(InvalidParamsError, match=field):
+            OptimizeOptions(**{field: value})
+
     def test_one_start_runs_one_start(self):
         targets = DistortionTriple(0.6, 0.6, 0.4)
         assert len(_start_vectors(UNIT, targets, OptimizeOptions(starts=1))) == 1
