@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from enum import Enum
 
 import numpy as np
@@ -72,12 +72,13 @@ class PBranch(Enum):
     P2 = "P2"
 
 
-def in_F_k(sigma_n2: float, d1: float, d2: float, t: float, rtol: float = BOX_RTOL) -> bool:
-    """Membership in encoder box: n e^{-2t} <= min(d1, d2) and max(d1, d2) <= n."""
+def in_F_k(sigma_n2: float, d1: float, d2: float, t: float) -> bool:
+    """Membership in encoder box: n e^{-2t} <= min(d1, d2) and max(d1, d2) <= n,
+    each within ``BOX_RTOL * n``."""
     if not (d1 >= 0 and d2 >= 0 and t >= 0):
         return False
     u = math.exp(-2.0 * t)
-    slack = rtol * sigma_n2
+    slack = BOX_RTOL * sigma_n2
     return sigma_n2 * u <= min(d1, d2) + slack and max(d1, d2) <= sigma_n2 + slack
 
 
@@ -91,22 +92,13 @@ def _precision_rhs(model: SourceModel, p: BoundParams) -> tuple[float, float, fl
     )
 
 
-def in_F(
-    model: SourceModel,
-    targets: DistortionTriple,
-    p: BoundParams,
-    rtol: float = EQUALITY_RTOL,
-) -> bool:
-    """Membership in the full admissible set F for the given targets."""
-    for k in (1, 2):
-        if not in_F_k(model.noise_var(k), *p.encoder(k)):
-            return False
-    rhs1, rhs2, rhs0 = _precision_rhs(model, p)
-    if 1.0 / targets.d1 > rhs1 * (1.0 + rtol):
+def in_F(model: SourceModel, targets: DistortionTriple, p: BoundParams) -> bool:
+    """Membership in the full admissible set F for the given targets; the
+    distortion inequalities hold within relative ``EQUALITY_RTOL``."""
+    if not all(in_F_k(model.noise_var(k), *p.encoder(k)) for k in (1, 2)):
         return False
-    if 1.0 / targets.d2 > rhs2 * (1.0 + rtol):
-        return False
-    return 1.0 / targets.d0 <= rhs0 * (1.0 + rtol)
+    rhs = _precision_rhs(model, p)
+    return all(1.0 / d <= r * (1.0 + EQUALITY_RTOL) for d, r in zip(astuple(targets), rhs))
 
 
 def condition_holds(model: SourceModel, targets: DistortionTriple) -> bool:
@@ -124,10 +116,19 @@ def condition_holds(model: SourceModel, targets: DistortionTriple) -> bool:
 
 
 def _r(n, d1, d2, t, s, xp=np):
-    """r(d1, d2, t, s) for finite t; ``xp`` is ``math`` for floats, ``numpy`` for arrays."""
-    return t + 0.5 * xp.log((n + s) / ((d1 + s) * (d2 + s))) + 0.5 * xp.log(
-        n * xp.exp(-2.0 * t) + s
-    )
+    """r(d1, d2, t, s); ``xp`` is ``math`` for floats, ``numpy`` for arrays.  Finite
+    apart from the limits d + s = 0 and t = inf: a log whose argument leaves the
+    float range (s = 0 with d1, d2 near 0, or t large) is taken term by term."""
+    log_ratio = xp.log((n + s) / ((d1 + s) * (d2 + s)))
+    log_floor = xp.log(n * xp.exp(-2.0 * t) + s)
+    r = t + 0.5 * log_ratio + 0.5 * log_floor
+    bad = ~np.isfinite(r)  # cheap first: the full test runs only when some r is not finite
+    if not (bad.any() and np.any(bad & (np.minimum(d1, d2) + s > 0.0) & np.isfinite(t))):
+        return r
+    split = xp.log(n + s) - xp.log(d1 + s) - xp.log(d2 + s)
+    log_ratio = np.where(np.isinf(log_ratio), split, log_ratio)
+    log_floor = np.where(np.isinf(log_floor), xp.log(n) - 2.0 * t, log_floor)
+    return t + 0.5 * log_ratio + 0.5 * log_floor
 
 
 def _require_in_box(sigma_n2: float, d1: float, d2: float, t: float) -> None:
@@ -175,7 +176,7 @@ def _sup_candidates(n: float, d1, d2, t) -> tuple[list, list]:
     c = (e + n) * d1 * d2 - e * n * (d1 + d2)
     finite_t = np.isfinite(t)
     s_vals, r_vals = [0.0], []
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         r_vals.append(np.where(finite_t, _r(n, d1, d2, t, 0.0), -np.inf))
         disc = b * b - 4.0 * a * c
         sq = np.sqrt(np.maximum(disc, 0.0))
@@ -216,32 +217,24 @@ def sup_sigma_z(sigma_n2: float, d1: float, d2: float, t: float) -> tuple[float,
     return best_s, best_val
 
 
-def in_P(
-    model: SourceModel,
-    targets: DistortionTriple,
-    p: BoundParams,
-    rtol: float = EQUALITY_RTOL,
-) -> PBranch | None:
+def in_P(model: SourceModel, targets: DistortionTriple, p: BoundParams) -> PBranch | None:
     """Critical-manifold membership: P1, P2, or None.
 
     Both branches require the two individual-receiver inequalities to hold
-    with equality (relative tolerance ``rtol``).  P1 additionally has central
-    equality; P2 has strict central slack with both t pinned to the box floor
-    n_k e^{-2 t_k} = min(d_k1, d_k2).
+    with equality (relative tolerance ``EQUALITY_RTOL``).  P1 additionally has
+    central equality; P2 has strict central slack with both t pinned to the
+    box floor n_k e^{-2 t_k} = min(d_k1, d_k2).
     """
-    if not in_F(model, targets, p, rtol=rtol):
+    if not in_F(model, targets, p):
         return None
-
-    def _eq(x: float, y: float) -> bool:
-        return abs(x - y) <= rtol * max(abs(x), abs(y))
-
+    equal = functools.partial(math.isclose, rel_tol=EQUALITY_RTOL)
     rhs1, rhs2, central = _precision_rhs(model, p)
-    if not (_eq(1.0 / targets.d1, rhs1) and _eq(1.0 / targets.d2, rhs2)):
+    if not (equal(1.0 / targets.d1, rhs1) and equal(1.0 / targets.d2, rhs2)):
         return None
-    if _eq(1.0 / targets.d0, central):
+    if equal(1.0 / targets.d0, central):
         return PBranch.P1
     pinned = all(
-        _eq(model.noise_var(k) * math.exp(-2.0 * p.encoder(k)[2]), min(p.encoder(k)[:2]))
+        equal(model.noise_var(k) * math.exp(-2.0 * p.encoder(k)[2]), min(p.encoder(k)[:2]))
         for k in (1, 2)
     )
     if central > 1.0 / targets.d0 and pinned:
@@ -263,30 +256,29 @@ def project_to_P(model: SourceModel, targets: DistortionTriple, p: BoundParams) 
     if not in_F(model, targets, p):
         raise DomainError("projection input must lie in the admissible set F")
     s2, n1, n2 = model.sigma_s2, model.sigma_n1_2, model.sigma_n2_2
-    d = {"d11": p.d11, "d12": p.d12, "d21": p.d21, "d22": p.d22}
-    for l, target in ((1, targets.d1), (2, targets.d2)):
-        key1, key2 = f"d1{l}", f"d2{l}"
-        slack = receiver_precision(s2, n1, n2, d[key1], d[key2]) - 1.0 / target
-        d[key1] = min(d[key1] + slack * n1**2, n1)
-        slack = receiver_precision(s2, n1, n2, d[key1], d[key2]) - 1.0 / target
+    d = [p.d11, p.d12, p.d21, p.d22]  # d_kl at index 2(k - 1) + (l - 1)
+    for l, target in enumerate((targets.d1, targets.d2)):
+        slack = receiver_precision(s2, n1, n2, d[l], d[l + 2]) - 1.0 / target
+        d[l] = min(d[l] + slack * n1**2, n1)
+        slack = receiver_precision(s2, n1, n2, d[l], d[l + 2]) - 1.0 / target
         # Past n2 only by roundoff, which grows with n2/n1; the final in_P check
         # rejects a clamped point that misses the equality.
-        d[key2] = min(d[key2] + max(slack, 0.0) * n2**2, n2)
+        d[l + 2] = min(d[l + 2] + max(slack, 0.0) * n2**2, n2)
 
-    t1, t2 = p.t1, p.t2
-    floor1 = -0.5 * math.log(min(d["d11"], d["d12"]) / n1) if min(d["d11"], d["d12"]) > 0 else math.inf
-    floor2 = -0.5 * math.log(min(d["d21"], d["d22"]) / n2) if min(d["d21"], d["d22"]) > 0 else math.inf
-    # Lower t_1 toward central equality, stopping at the box floor.
-    need = 1.0 / targets.d0 - 1.0 / s2 - (1.0 - math.exp(-2.0 * t2)) / n2
-    u_eq = 1.0 - n1 * need
-    t_eq = -0.5 * math.log(u_eq) if 0.0 < u_eq <= 1.0 else 0.0
-    t1 = min(t1, max(floor1, t_eq))
-    if central_precision(s2, n1, n2, math.exp(-2.0 * t1), math.exp(-2.0 * t2)) > 1.0 / targets.d0:
-        need = 1.0 / targets.d0 - 1.0 / s2 - (1.0 - math.exp(-2.0 * t1)) / n1
-        u_eq = 1.0 - n2 * need
+    # Lower each t_k toward central equality, stopping at its box floor; t_2
+    # only while the central constraint is still slack.
+    n, t = (n1, n2), [p.t1, p.t2]
+    for k in (0, 1):
+        u = [math.exp(-2.0 * tk) for tk in t]
+        if k == 1 and not central_precision(s2, n1, n2, *u) > 1.0 / targets.d0:
+            break
+        y = min(d[2 * k], d[2 * k + 1])
+        floor = -0.5 * math.log(y / n[k]) if y > 0 else math.inf
+        need = 1.0 / targets.d0 - 1.0 / s2 - (1.0 - u[1 - k]) / n[1 - k]
+        u_eq = 1.0 - n[k] * need
         t_eq = -0.5 * math.log(u_eq) if 0.0 < u_eq <= 1.0 else 0.0
-        t2 = min(t2, max(floor2, t_eq))
-    out = BoundParams(d["d11"], d["d12"], d["d21"], d["d22"], t1, t2)
+        t[k] = min(t[k], max(floor, t_eq))
+    out = BoundParams(*d, *t)
     if in_P(model, targets, out) is None:
         raise DomainError(
             "projection did not reach the critical manifold; input lies outside "
@@ -339,7 +331,8 @@ def _sup_r_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
     grad = np.empty(6)
     grad[[0, 2]] = np.where(finite, -0.5 / (y1 + s), 0.0)
     grad[[1, 3]] = np.where(finite, -0.5 / (y2 + s), 0.0)
-    grad[4:] = np.where(finite, s / (np.exp(-2.0 * t) + s), 1.0)
+    # d/dt r = s / (e^{-2t} + s): 0 at s = 0 even where e^{-2t} underflows.
+    grad[4:] = np.where(finite, s / np.where(s > 0.0, np.exp(-2.0 * t) + s, 1.0), 1.0)
     return float(r.max(axis=0).sum()), grad
 
 
@@ -473,6 +466,5 @@ def lower_bound(
             except (DomainError, InvalidParamsError):
                 hi = mid
     branch = in_P(model, targets, argmin)
-    sz1, v1 = sup_sigma_z(n1, argmin.d11, argmin.d12, argmin.t1)
-    sz2, v2 = sup_sigma_z(n2, argmin.d21, argmin.d22, argmin.t2)
+    (sz1, v1), (sz2, v2) = (sup_sigma_z(model.noise_var(k), *argmin.encoder(k)) for k in (1, 2))
     return LowerBoundResult(value=v1 + v2 + const, argmin=argmin, branch=branch, sigma_z=(sz1, sz2))

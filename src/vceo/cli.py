@@ -378,7 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--instance", required=True, help="path to the JSON instance file")
-        p.add_argument("--tol", type=float, default=None, help="primary tolerance of the command")
+        tol_help = "optimizer tolerance; for verify, the identity tolerance: 1e-9 unless set here"
+        p.add_argument("--tol", type=float, default=None, help=tol_help)
         p.add_argument("--starts", type=int, default=None, help="multistart count")
         p.add_argument("--grid", type=int, default=None, help="bound's starting-scan points per axis")
         p.add_argument("--seed", type=int, default=None, help="random seed")

@@ -175,33 +175,51 @@ class EquivalenceReport:
         return abs(self.lhs - self.rhs)
 
 
-def _construct_encoder(
-    sigma_n2: float, d1: float, d2: float, t: float
-) -> tuple[str, float, AlphaTriple, float]:
-    """Dispatch one encoder: (case label, a_k, alphas, sigma_z2)."""
-    region = classify_F_k(sigma_n2, d1, d2, t)
-    alpha = alphas(sigma_n2, d1, d2, t)
-    if region is FRegion.F2:
-        return "F_k2", 0.0, alpha, 0.0
-    if region is FRegion.F1:
-        a_star = solve_a_star(sigma_n2, alpha)
-        if a_star >= sigma_n2 * (1.0 - 1e-15):
-            sz = math.inf  # a* = sigma_n2 maps to the infinite-variance channel limit
-        else:
-            sz = a_star * sigma_n2 / (sigma_n2 - a_star)
-        return "F_k1", a_star, alpha, sz
+class _EncoderMatch(NamedTuple):
+    """One encoder of the construction: its case, a_k, sigma_z, marginals
+    (d'_k1, d'_k2), W variances as stored (capped at W_CAP_FACTOR * n_k), its
+    two terms r of the identity (bound and achievable), and I(U_k1; U_k2 | S, Y_k)."""
+
+    case: str
+    a: float
+    sigma_z: float
+    dp: tuple[float, float]
+    w: tuple[float, float]
+    bound_term: float
+    achievable_term: float
+    cond_mi: float
+
+
+def _construct_encoder(n: float, d1: float, d2: float, t: float) -> _EncoderMatch:
+    """Match one encoder triple (d1, d2, t) of the critical point."""
+    region = classify_F_k(n, d1, d2, t)
+    alpha = alphas(n, d1, d2, t)  # DomainError outside the admissible box
     if region is FRegion.F3:
         raise InternalContradictionError(
             "encoder triple classifies into the excluded region although the "
             "distortion condition holds"
         )
-    raise DomainError(f"(d1, d2, t) = ({d1}, {d2}, {t}) is not in the admissible box")
+    a = solve_a_star(n, alpha) if region is FRegion.F1 else 0.0
+    # sigma_z = 0 on F_k2; a* = n maps to the infinite-variance channel limit.
+    sz = math.inf if a >= n * (1.0 - 1e-15) else a * n / (n - a)
+    # The achievable side in exact limit arithmetic (inf-variance aware).
+    dp = (_marginal_d(n, alpha.a1), _marginal_d(n, alpha.a2))
+    t_p = _marginal_t(n, alpha.a1, alpha.a2, a)
+    if region is FRegion.F2 and t_p < t - 1e-12:
+        raise InternalContradictionError(
+            f"zero-correlation construction lost conditional information: t' = {t_p} < t = {t}"
+        )
+    w = (min(alpha.a1, W_CAP_FACTOR * n), min(alpha.a2, W_CAP_FACTOR * n))
+    bound_term, achievable_term = r_fn(n, d1, d2, t, sz), r_fn(n, *dp, t_p, sz)
+    cond_mi = _channel_residual_mi(n, *w, a, sz)
+    return _EncoderMatch(region.value, a, sz, dp, w, bound_term, achievable_term, cond_mi)
 
 
 def _channel_residual_mi(n: float, w1: float, w2: float, a: float, sigma_z2: float) -> float:
-    """I(U_k1; U_k2 | S, Y_k) in closed form.  Given S and Y_k, N_k keeps variance
-    v = n sigma_z2 / (n + sigma_z2) (v = n at sigma_z2 = inf); the value is 0 at v = a."""
-    v = n if math.isinf(sigma_z2) else n * sigma_z2 / (n + sigma_z2)
+    """I(U_k1; U_k2 | S, Y_k) in closed form.  Given S and Y_k, N_k keeps the
+    variance v = Var(X_k | Y_k, S) of a description with noise sigma_z2; the
+    value is 0 at v = a."""
+    v = _marginal_d(n, sigma_z2)
     if v == a:
         return 0.0
     return -0.5 * math.log1p(-((v - a) ** 2) / ((v + w1) * (v + w2)))
@@ -221,61 +239,21 @@ def construct_matching_scheme(
     if in_P(model, targets, p) is None:
         raise DomainError("parameter point is not on the critical manifold")
 
-    cases: list[str] = []
-    sigma_z: list[float] = []
-    w_exact: list[float] = []
-    a_vals: list[float] = []
-    dp_exact: list[float] = []
-    lhs = 0.5 * math.log(model.sigma_s2**2 / (targets.d1 * targets.d2))
-    rhs = 0.0
-    for k in (1, 2):
-        n = model.noise_var(k)
-        d1, d2, t = p.encoder(k)
-        case, a_k, alpha, sz = _construct_encoder(n, d1, d2, t)
-        cases.append(case)
-        a_vals.append(a_k)
-        sigma_z.append(sz)
-        w_exact.extend([alpha.a1, alpha.a2])
-        lhs += r_fn(n, d1, d2, t, sz)
-        # Achievable side in exact limit arithmetic (inf-variance aware).
-        d1p = _marginal_d(n, alpha.a1)
-        d2p = _marginal_d(n, alpha.a2)
-        dp_exact.extend([d1p, d2p])
-        t_p = _marginal_t(n, alpha.a1, alpha.a2, a_k)
-        if case == "F_k2" and t_p < t - 1e-12:
-            raise InternalContradictionError(
-                f"zero-correlation construction lost conditional information: "
-                f"t' = {t_p} < t = {t}"
-            )
-        rhs += r_fn(n, d1p, d2p, t_p, sz)
-
-    n1, n2 = model.sigma_n1_2, model.sigma_n2_2
-    inv_delta1 = receiver_precision(model.sigma_s2, n1, n2, dp_exact[0], dp_exact[2])
-    inv_delta2 = receiver_precision(model.sigma_s2, n1, n2, dp_exact[1], dp_exact[3])
-    rhs += 0.5 * math.log(model.sigma_s2**2 * inv_delta1 * inv_delta2)
-
-    # Stored params cap absent descriptions at the documented numerical infinity.
-    caps = [
-        W_CAP_FACTOR * n1,
-        W_CAP_FACTOR * n1,
-        W_CAP_FACTOR * n2,
-        W_CAP_FACTOR * n2,
-    ]
-    w_stored = [min(w, cap) for w, cap in zip(w_exact, caps)]
-    params = SchemeParams(*w_stored, a1=a_vals[0], a2=a_vals[1])
-
-    cond_mi_vals = [
-        _channel_residual_mi(model.noise_var(k), *params.encoder(k), sigma_z[k - 1]) for k in (1, 2)
-    ]
-    rhs += sum(cond_mi_vals)
-
+    e1, e2 = (_construct_encoder(model.noise_var(k), *p.encoder(k)) for k in (1, 2))
+    s2, n1, n2 = model.sigma_s2, model.sigma_n1_2, model.sigma_n2_2
+    lhs = 0.5 * math.log(s2**2 / (targets.d1 * targets.d2)) + e1.bound_term + e2.bound_term
+    inv_delta1 = receiver_precision(s2, n1, n2, e1.dp[0], e2.dp[0])
+    inv_delta2 = receiver_precision(s2, n1, n2, e1.dp[1], e2.dp[1])
+    rhs = e1.achievable_term + e2.achievable_term
+    rhs += 0.5 * math.log(s2**2 * inv_delta1 * inv_delta2)
+    rhs += e1.cond_mi + e2.cond_mi
+    params = SchemeParams(*e1.w, *e2.w, a1=e1.a, a2=e2.a)
     return EquivalenceReport(
         lhs=lhs,
         rhs=rhs,
-        cases=(cases[0], cases[1]),
+        cases=(e1.case, e2.case),
         params=params,
-        sigma_z=(sigma_z[0], sigma_z[1]),
-        cond_mi=(cond_mi_vals[0], cond_mi_vals[1]),
+        sigma_z=(e1.sigma_z, e2.sigma_z),
+        cond_mi=(e1.cond_mi, e2.cond_mi),
         distortions=_distortions(model, params),
     )
-

@@ -80,5 +80,12 @@ def require_int(name: str, value, low: int, high: float = math.inf) -> int:
     except TypeError:
         raise InvalidParamsError(f"{name} must be an integer, got {value!r}") from None
     if not low <= index < high:
-        raise InvalidParamsError(f"{name} must be in [{low}, {high}), got {value!r}")
+        bound = f">= {low}" if high == math.inf else f"in [{low}, {_int_text(high)})"
+        raise InvalidParamsError(f"{name} must be {bound}, got {value!r}")
     return index
+
+
+def _int_text(n: int) -> str:
+    """``n`` as a reader writes it: a power of two from 2**32 up as ``2**k``."""
+    k = n.bit_length() - 1
+    return f"2**{k}" if k >= 32 and n == 1 << k else str(n)

@@ -115,11 +115,6 @@ class LabeledCov:
     def indices(self, labels: Iterable[str]) -> list[int]:
         return [self.index(x) for x in _as_labels(labels)]
 
-    def sub(self, labels: Iterable[str]) -> np.ndarray:
-        """Covariance block of the given labels, in the given order."""
-        idx = self.indices(labels)
-        return self.matrix[np.ix_(idx, idx)]
-
     def var(self, label: str) -> float:
         i = self.index(label)
         return float(self.matrix[i, i])
@@ -193,11 +188,19 @@ def _joint_law(
     return tuple(labels), incidence, comp
 
 
+def _unit_scale(m: np.ndarray) -> np.ndarray:
+    """D D^T with D = 1/sqrt(diag m), 0 at a zero variance: m * D D^T has unit diagonal."""
+    r = np.where(np.diag(m) > 0.0, np.diag(m), np.inf) ** -0.5
+    return np.outer(r, r)
+
+
 def _pinv_psd(m: np.ndarray, rcond: float = PINV_RCOND) -> np.ndarray:
-    """Pseudo-inverse of a PSD matrix via eigendecomposition with relative cutoff."""
+    """Pseudo-inverse of a PSD matrix via eigendecomposition with relative cutoff, taken
+    at unit diagonal so that a variance at the absent-description cap hides no other."""
     if m.size == 0:
         return m
-    eig, vec = np.linalg.eigh(m)
+    scale = _unit_scale(m)
+    eig, vec = np.linalg.eigh(m * scale)
     top = float(eig[-1])
     if eig[0] < -PSD_RTOL * max(top, 0.0) - 1e-300:
         raise DegenerateConditioningError(
@@ -205,16 +208,7 @@ def _pinv_psd(m: np.ndarray, rcond: float = PINV_RCOND) -> np.ndarray:
         )
     cut = rcond * max(top, 0.0)
     inv = np.where(eig > cut, 1.0 / np.where(eig > cut, eig, 1.0), 0.0)
-    return (vec * inv) @ vec.T
-
-
-def _plogdet(m: np.ndarray, cut: float) -> tuple[float, int]:
-    """Pseudo log-determinant: (sum of log of eigenvalues > cut, their count)."""
-    if m.size == 0:
-        return 0.0, 0
-    eig = np.linalg.eigvalsh(m)
-    kept = eig[eig > cut]
-    return float(np.sum(np.log(kept))) if kept.size else 0.0, int(kept.size)
+    return (vec * inv) @ vec.T * scale
 
 
 def conditional_cov(
@@ -271,13 +265,15 @@ def conditional_mi(
         return 0.0
     cond_c = conditional_cov(cov, la, lc)
     cond_bc = conditional_cov(cov, la, tuple(lb) + tuple(lc))
-    eig = np.linalg.eigvalsh(cond_c)
-    cut = PINV_RCOND * max(float(eig[-1]), 0.0)
-    ld_c, rank_c = _plogdet(cond_c, cut)
-    ld_bc, rank_bc = _plogdet(cond_bc, cut)
-    if rank_bc < rank_c:
+    # Pseudo log-determinants at unit diagonal, as in _pinv_psd: one common
+    # scaling of both blocks leaves their difference unchanged.
+    scale = _unit_scale(cond_c)
+    eig_c, eig_bc = np.linalg.eigvalsh(cond_c * scale), np.linalg.eigvalsh(cond_bc * scale)
+    cut = PINV_RCOND * max(float(eig_c[-1]), 0.0)
+    kept_c, kept_bc = eig_c[eig_c > cut], eig_bc[eig_bc > cut]
+    if kept_bc.size < kept_c.size:
         raise InfiniteMutualInformationError(
             f"I({la}; {lb} | {lc}) is infinite: conditioning is deterministic on "
-            f"{rank_c - rank_bc} direction(s)"
+            f"{kept_c.size - kept_bc.size} direction(s)"
         )
-    return max(0.0, 0.5 * (ld_c - ld_bc))
+    return max(0.0, 0.5 * float(np.sum(np.log(kept_c)) - np.sum(np.log(kept_bc))))

@@ -120,13 +120,6 @@ class DistortionTriple:
     def valid_for(self, model: SourceModel) -> bool:
         return max(self.d1, self.d2) < model.sigma_s2
 
-    def receiver(self, l: int) -> float:
-        if l == 1:
-            return self.d1
-        if l == 2:
-            return self.d2
-        raise InvalidParamsError(f"receiver index must be 1 or 2, got {l!r}")
-
 
 @dataclass(frozen=True)
 class BoundParams:

@@ -11,6 +11,21 @@ from vceo.gaussmodel import build_joint_cov, gaussian_mi
 from vceo.scheme import full_mmse
 
 
+# Schemes that `vceo sum-rate` reports at (sigma_s2, n1, n2) = (1, n1, 1/n1):
+# description noise 1e3-1e4 times the noise variance next to absent
+# descriptions at 1e8 * n2.
+EXTREME_RATIO_SCHEMES = [
+    (1e-3, SchemeParams(0.9990000000095711, 0.12400000000016036, 100000000000.00015,
+                        100000000000.00015, 0.001, 0.0)),  # D = (0.5, 0.5, 0.1)
+    (1e-3, SchemeParams(0.4275714285732638, 1.4989999976335877, 100000000000.00015,
+                        100000000000.00015, 0.001, 0.0)),  # D = (0.3, 0.6, 0.25)
+    (1e-4, SchemeParams(0.9998999999983905, 0.12490000000005375, 999999999999.999,
+                        999999999999.999, 0.0001, 0.0)),  # D = (0.5, 0.5, 0.1)
+    (1e-4, SchemeParams(0.4284714285710161, 1.4998999999878735, 999999999999.999,
+                        999999999999.999, 0.0001, 0.0)),  # D = (0.3, 0.6, 0.25)
+]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260808)

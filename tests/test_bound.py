@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from vceo import (
@@ -30,7 +30,7 @@ from vceo import (
     sup_sigma_z,
 )
 import vceo.bound
-from vceo.bound import _sup_r_vec, in_F
+from vceo.bound import _sup_r_grad, _sup_r_vec, in_F
 
 from conftest import (
     random_condition_targets,
@@ -410,12 +410,31 @@ class TestLowerBound:
         with pytest.raises(InvalidParamsError, match="refine"):
             lower_bound(UNIT, CANONICAL, refine=refine)
 
+    # Targets with d0 at the remote-MMSE floor: SLSQP steps onto y = d/n = 1e-300.
+    FLOOR_MODEL = SourceModel(1.0, 100.0, 10**0.5)
+    FLOOR_TARGETS = DistortionTriple(0.8770095249187023, 0.8155142873780534, 0.7540190498374046)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_targets_at_the_floor_solve_without_overflow(self):
+        value = lower_bound(self.FLOOR_MODEL, self.FLOOR_TARGETS).value
+        assert value == pytest.approx(11.5243486373, abs=1e-9)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_objective_and_gradient_stay_finite_at_the_y_bound(self):
+        # r = (1/2) log(1/(y_1 y_2)) at s = 0 is finite although the ratio inside
+        # the log overflows, and d/dt r = 0 there although e^{-2t} underflows.
+        value, grad = _sup_r_grad(np.array([1e-300] * 4 + [400.0] * 2))
+        assert value == pytest.approx(2.0 * 300.0 * math.log(10.0), rel=1e-12)
+        assert np.all(np.isfinite(grad)) and np.all(grad[4:] == 0.0)
+
     @given(
         log_n1=st.floats(-4.0, 4.0),
         log_n2=st.floats(-4.0, 4.0),
         x=st.tuples(*[st.floats(0.0, 1.0, exclude_max=True)] * 3),
     )
+    @example(log_n1=2.0, log_n2=0.5, x=(0.5, 0.25, 0.0))  # FLOOR_MODEL, FLOOR_TARGETS
     @settings(max_examples=50, deadline=None)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_extreme_ratios_and_the_floor_give_a_value_or_infeasible(self, log_n1, log_n2, x):
         # Variance ratios up to 1e8 and targets down to the remote-MMSE floor:
         # valid instances, so the bound never rejects its own inputs.

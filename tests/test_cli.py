@@ -308,6 +308,20 @@ class TestSeedValidation:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: options.seed") and captured.out == ""
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--seed", "-1", "--seed must be in [0, 2**128), got -1"),
+            ("--starts", "0", "--starts must be >= 1, got 0"),
+        ],
+    )
+    def test_integer_flag_message_states_the_range_as_documented(
+        self, tmp_path, capsys, no_work, flag, value, message
+    ):
+        path = write_instance(tmp_path, self.OUTSIDE)
+        assert main(["sum-rate", "--instance", path, flag, value]) == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_largest_seed_runs(self, tmp_path, capsys):
         path = write_instance(tmp_path, dict(self.OUTSIDE, options={"starts": 1}))
         args = ["mc-check", "--instance", path, "--seed", str(2**128 - 1), "--n", "100"]

@@ -12,14 +12,16 @@ from vceo import (
     SchemeParams,
     SourceModel,
     build_joint_cov,
+    central_distortion,
     conditional_cov,
     conditional_mi,
     gaussian_mi,
+    sum_rate,
 )
 from vceo.gaussmodel import _pinv_psd
 from vceo.errors import DegenerateConditioningError
 
-from conftest import random_model, random_params
+from conftest import EXTREME_RATIO_SCHEMES, log_det_sum_rate, random_model, random_params
 
 UNIT = SourceModel(1.0, 1.0, 1.0)
 
@@ -129,6 +131,28 @@ class TestConditionalCov:
     def test_non_psd_block_raises(self):
         with pytest.raises(DegenerateConditioningError):
             _pinv_psd(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+class TestCappedDescriptions:
+    """A description stored at the absent cap (1e8 times its noise variance)
+    next to real variances of 1e-4: the log-det route agrees with the closed forms."""
+
+    def test_pinv_cut_is_relative_to_each_variance(self):
+        m = np.diag([1e12, 1e-4, 0.0])
+        assert np.allclose(_pinv_psd(m), np.diag([1e-12, 1e4, 0.0]), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n1, params", EXTREME_RATIO_SCHEMES)
+    def test_central_distortion_matches_the_closed_form(self, n1, params):
+        model = SourceModel(1.0, n1, 1.0 / n1)
+        cov = build_joint_cov(model, params)
+        delta_0 = conditional_cov(cov, "S", ("U11", "U12", "U21", "U22"))[0, 0]
+        assert delta_0 == pytest.approx(central_distortion(model, params), rel=1e-9)
+
+    @pytest.mark.parametrize("n1, params", EXTREME_RATIO_SCHEMES)
+    def test_log_det_sum_rate_matches_the_closed_form(self, n1, params):
+        model = SourceModel(1.0, n1, 1.0 / n1)
+        expected = sum_rate(model, params).sum_rate
+        assert log_det_sum_rate(model, params) == pytest.approx(expected, rel=1e-9)
 
 
 class TestGaussianMi:

@@ -21,7 +21,7 @@ from vceo import (
 from vceo.gaussmodel import JOINT_LABELS, build_joint_cov
 from vceo.mc import _QR_BLOCK_ROWS, COLLINEARITY_RTOL, _law_factor
 
-from conftest import random_model, random_params
+from conftest import EXTREME_RATIO_SCHEMES, random_model, random_params
 
 UNIT = SourceModel(1.0, 1.0, 1.0)
 PARAMS = SchemeParams(1, 1, 1, 1)
@@ -153,20 +153,6 @@ MC_QUANTITIES = (
     ("X2", ("U21", "S")),
     ("X2", ("U22", "S")),
 )
-
-# Schemes that `vceo sum-rate` reports at (sigma_s2, n1, n2) = (1, n1, 1/n1):
-# description noise 1e3-1e4 times the noise variance next to absent
-# descriptions at 1e8 * n2.
-EXTREME_RATIO_SCHEMES = [
-    (1e-3, SchemeParams(0.9990000000095711, 0.12400000000016036, 100000000000.00015,
-                        100000000000.00015, 0.001, 0.0)),  # D = (0.5, 0.5, 0.1)
-    (1e-3, SchemeParams(0.4275714285732638, 1.4989999976335877, 100000000000.00015,
-                        100000000000.00015, 0.001, 0.0)),  # D = (0.3, 0.6, 0.25)
-    (1e-4, SchemeParams(0.9998999999983905, 0.12490000000005375, 999999999999.999,
-                        999999999999.999, 0.0001, 0.0)),  # D = (0.5, 0.5, 0.1)
-    (1e-4, SchemeParams(0.4284714285710161, 1.4998999999878735, 999999999999.999,
-                        999999999999.999, 0.0001, 0.0)),  # D = (0.3, 0.6, 0.25)
-]
 
 
 def dense_fit(samples, target, given):
