@@ -118,10 +118,17 @@ def condition_holds(model: SourceModel, targets: DistortionTriple) -> bool:
 def _r(n, d1, d2, t, s, xp=np):
     """r(d1, d2, t, s); ``xp`` is ``math`` for floats, ``numpy`` for arrays.  Finite
     apart from the limits d + s = 0 and t = inf: a log whose argument leaves the
-    float range (s = 0 with d1, d2 near 0, or t large) is taken term by term."""
-    log_ratio = xp.log((n + s) / ((d1 + s) * (d2 + s)))
-    log_floor = xp.log(n * xp.exp(-2.0 * t) + s)
-    r = t + 0.5 * log_ratio + 0.5 * log_floor
+    float range (s = 0 with d1, d2 near 0, or t large) is taken term by term;
+    where ``math`` raises or the plain float form is not finite, on the array path."""
+    try:
+        log_ratio = xp.log((n + s) / ((d1 + s) * (d2 + s)))
+        log_floor = xp.log(n * xp.exp(-2.0 * t) + s)
+        r = t + 0.5 * log_ratio + 0.5 * log_floor
+    except (ZeroDivisionError, ValueError):  # math only: numpy returns inf
+        r = math.nan
+    if xp is math and not math.isfinite(r):
+        with np.errstate(all="ignore"):
+            return float(_r(np.float64(n), d1, d2, t, s))
     bad = ~np.isfinite(r)  # cheap first: the full test runs only when some r is not finite
     if not (bad.any() and np.any(bad & (np.minimum(d1, d2) + s > 0.0) & np.isfinite(t))):
         return r

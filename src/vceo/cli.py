@@ -378,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--instance", required=True, help="path to the JSON instance file")
-        tol_help = "optimizer tolerance; for verify, the identity tolerance: 1e-9 unless set here"
+        tol_help = "optimizer tol, unused by lower-bound; for verify, identity tol (default 1e-9)"
         p.add_argument("--tol", type=float, default=None, help=tol_help)
         p.add_argument("--starts", type=int, default=None, help="multistart count")
         p.add_argument("--grid", type=int, default=None, help="bound's starting-scan points per axis")

@@ -23,6 +23,7 @@ degenerate joint description (w_k1 * w_k2 = a_k^2).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -444,11 +445,13 @@ def _penalized_objective(model: SourceModel, targets: DistortionTriple, weight: 
     """Closed-form sum rate plus exact penalty on relative distortion violations."""
     s2, n1, n2 = model.sigma_s2, model.sigma_n1_2, model.sigma_n2_2
     log_caps = np.log(np.array([n1, n1, n2, n2]))
-    lo, hi = log_caps - 25.0, log_caps + math.log(W_CAP_FACTOR)
+    lo, hi = (log_caps - 25.0).tolist(), (log_caps + math.log(W_CAP_FACTOR)).tolist()
     t1v, t2v, t0v = targets.d1, targets.d2, targets.d0
 
-    def objective(z: np.ndarray) -> float:
-        w11, w12, w21, w22 = np.exp(np.clip(z[:4], lo, hi)).tolist()
+    def objective(z) -> float:
+        # np.exp, not math.exp: they differ in the last bit, which moves the frozen path.
+        c = [l if l > v else v for v, l in zip(z, lo)]  # np.clip up to the sign of 0
+        w11, w12, w21, w22 = np.exp([h if h < v else v for v, h in zip(c, hi)]).tolist()
         rho1 = min(max(z[4], 0.0), 1.0)
         rho2 = min(max(z[5], 0.0), 1.0)
         a1 = rho1 * min(math.sqrt(w11 * w12), n1)
@@ -581,6 +584,76 @@ def _constraint_start(
     return _vector_from_params(model, params)
 
 
+def _order(sim: list[list[float]], fsim: list[float], head_distinct: bool):
+    """``sim``, ``fsim`` in ``np.argsort(fsim)``'s order, and whether ``fsim`` is distinct.
+    A new last value is bisected into a distinct sorted head, other distinct values take
+    Python's sort, and a tie or NaN numpy's, which is not stable and steers the run."""
+    n = len(fsim) - 1
+    k = bisect_left(fsim, fsim[-1], 0, n)
+    if head_distinct and (k == n or fsim[-1] < fsim[k]):
+        sim.insert(k, sim.pop())
+        fsim.insert(k, fsim.pop())
+        return sim, fsim, True
+    order = sorted(range(n + 1), key=fsim.__getitem__)
+    distinct = all(fsim[i] < fsim[j] for i, j in zip(order, order[1:]))
+    if not distinct:
+        order = np.argsort(fsim).tolist()
+    return [sim[i] for i in order], [fsim[i] for i in order], distinct
+
+
+def _nelder_mead(fun, x0, maxiter, xatol, fatol, **_):
+    """Adaptive Nelder-Mead (Gao & Han 2012) in six coordinates on lists of floats: a
+    ``minimize`` method that repeats scipy 1.17's ``_minimize_neldermead(adaptive=True)``
+    step for step, so every iterate, ``nit`` and ``nfev`` are scipy's."""
+    n = len(x0)
+    chi, psi, sigma = 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
+    sim = [x0.tolist()]
+    for k in range(n):
+        y = list(sim[0])
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim.append(y)
+    fsim = [fun(x) for x in sim]
+    nfev, nit = n + 1, 1
+    for _ in range(2):  # scipy sorts the first simplex twice
+        sim, fsim, distinct = _order(sim, fsim, False)
+    while nit < maxiter:
+        best, worst = sim[0], sim[-1]
+        # fsim is sorted, so its largest |fsim[0] - f| is at the end.
+        if abs(fsim[0] - fsim[-1]) <= fatol and all(
+            abs(v - b) <= xatol for x in sim[1:] for v, b in zip(x, best)
+        ):
+            break
+        # numpy's row sum from 0.0, written out for the six coordinates
+        xbar = [(0.0 + a + b + c + d + e + f) / n for a, b, c, d, e, f in zip(*sim[:-1])]
+        xr = [2 * c - w for c, w in zip(xbar, worst)]
+        fxr = fun(xr)
+        nfev += 1
+        if fxr < fsim[0]:
+            xe = [(1 + chi) * c - chi * w for c, w in zip(xbar, worst)]
+            fxe = fun(xe)
+            nfev += 1
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            outside = fxr < fsim[-1]
+            k = psi if outside else -psi  # -psi: (1 - psi) xbar + psi x_worst, bit for bit
+            xc = [(1 + k) * c - k * w for c, w in zip(xbar, worst)]
+            fxc = fun(xc)
+            nfev += 1
+            if fxc <= fxr if outside else fxc < fsim[-1]:
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink toward the best vertex: all of them move
+                distinct = False
+                for j in range(1, n + 1):
+                    sim[j] = [b + sigma * (v - b) for v, b in zip(sim[j], best)]
+                    fsim[j] = fun(sim[j])
+                nfev += n
+        nit += 1
+        sim, fsim, distinct = _order(sim, fsim, distinct)
+    return scipy.optimize.OptimizeResult(x=np.array(sim[0]), fun=fsim[0], nit=nit, nfev=nfev)
+
+
 def optimize_sum_rate(
     model: SourceModel,
     targets: DistortionTriple,
@@ -616,8 +689,8 @@ def optimize_sum_rate(
         return scipy.optimize.minimize(
             objective,
             z0,
-            method="Nelder-Mead",
-            options={"maxiter": maxiter, "xatol": xatol, "fatol": fatol, "adaptive": True},
+            method=_nelder_mead,
+            options={"maxiter": maxiter, "xatol": xatol, "fatol": fatol},
         )
 
     # Phase 1: a cheap pass from every start; phase 2: restart-polish the best few.

@@ -30,7 +30,7 @@ from vceo import (
     sup_sigma_z,
 )
 import vceo.bound
-from vceo.bound import _sup_r_grad, _sup_r_vec, in_F
+from vceo.bound import _r, _sup_r_grad, _sup_r_vec, in_F
 
 from conftest import (
     random_condition_targets,
@@ -80,6 +80,16 @@ class TestRFn:
 
     def test_infinite_channel_noise_is_t(self):
         assert r_fn(1.0, 0.5, 0.5, 1.0, math.inf) == 1.0
+
+    @pytest.mark.parametrize("d", [1e-200, 0.5])
+    def test_float_path_past_the_float_range_matches_the_array_path(self, d):
+        # At d = 1e-200 the product (d1 + s)(d2 + s) underflows to 0, and at
+        # t = 400 so does n e^{-2t}: math raises where numpy returns inf, and
+        # both paths must take the logs term by term.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            expected = float(_r(1.0, np.array(d), np.array(d), np.array(400.0), 0.0))
+        assert math.isfinite(expected)
+        assert r_fn(1.0, d, d, 400.0, 0.0) == pytest.approx(expected, rel=1e-12)
 
     @given(
         n=st.floats(0.25, 4.0),

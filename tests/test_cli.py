@@ -168,6 +168,14 @@ class TestLowerBoundCommand:
         main(["lower-bound", "--instance", canonical])
         assert capsys.readouterr().out == first
 
+    def test_tol_flag_is_checked_and_unused(self, canonical, capsys):
+        # The bound runs no optimizer, so --tol leaves its output alone.
+        argv = ["lower-bound", "--instance", canonical, "--output", "json"]
+        assert main(argv) == EXIT_OK
+        plain = capsys.readouterr().out
+        assert main(argv + ["--tol", "1e-20"]) == EXIT_OK
+        assert capsys.readouterr().out == plain
+
 
 class TestVerifyCommand:
     def test_pass_on_condition_holding_instance(self, canonical, capsys):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,8 +33,10 @@ from vceo import (
 from vceo.bound import r_fn
 from vceo.gaussmodel import gaussian_mi
 from vceo.scheme import (
+    PENALTY_WEIGHT,
     W_CAP_FACTOR,
     _distortions,
+    _nelder_mead,
     _params_from_vector,
     _penalized_objective,
     _start_vectors,
@@ -432,21 +435,35 @@ class TestOptimizeSumRate:
         assert a.breakdown.sum_rate == b.breakdown.sum_rate
 
     @pytest.mark.parametrize(
-        "model, targets, rate",
+        "model, targets, rate, nfev",
         [
-            ((1.0, 1.0, 1.0), (0.6, 0.6, 0.4), 1.9454540224158088),
-            ((1.0, 0.3, 3.0), (0.5, 0.3, 0.25), 2.107649001253632),
+            ((1.0, 1.0, 1.0), (0.6, 0.6, 0.4), 1.9454540224158088, 44188),
+            ((1.0, 0.3, 3.0), (0.5, 0.3, 0.25), 2.107649001253632, 80040),
         ],
     )
-    def test_default_options_reproduce_the_benchmark_rates(self, model, targets, rate):
+    def test_default_options_reproduce_the_benchmark_rates(
+        self, model, targets, rate, nfev, monkeypatch
+    ):
         # The rates perfbench/reference.json stores for unit_outside and
-        # asym_noise_out, which the benchmark checks to 1e-6.  The Nelder-Mead
-        # path (decoders, starts, distortions, feasibility restoration) must
-        # not change until that file is rebuilt: taking central_distortion's
-        # e^{-2t'} from the rational form, a 1-ulp change, moves asym_noise_out
-        # past 1e-9.
+        # asym_noise_out, which the benchmark checks to 1e-6, and the objective
+        # evaluations it stores with them (nm_nfev), summed over every
+        # minimize call as the benchmark's tracer counts them.  The
+        # Nelder-Mead path (decoders, starts, distortions, feasibility
+        # restoration, the simplex steps) must not change until that file is
+        # rebuilt: taking central_distortion's e^{-2t'} from the rational
+        # form, a 1-ulp change, moves asym_noise_out past 1e-9.
+        counts = []
+        minimize = scipy.optimize.minimize
+
+        def counting(*args, **kwargs):
+            res = minimize(*args, **kwargs)
+            counts.append(res.nfev)
+            return res
+
+        monkeypatch.setattr(scipy.optimize, "minimize", counting)
         res = optimize_sum_rate(SourceModel(*model), DistortionTriple(*targets))
         assert res.breakdown.sum_rate == pytest.approx(rate, rel=1e-9)
+        assert sum(counts) == nfev
 
     def test_standalone_multistart_meets_bound_without_analytic_start(self):
         # The optimizer must stand on its own, not just polish the converse
@@ -459,3 +476,51 @@ class TestOptimizeSumRate:
             lb = lower_bound(model, targets)
             res = optimize_sum_rate(model, targets, OptimizeOptions(starts=12, seed=5))
             assert abs(res.breakdown.sum_rate - lb.value) / lb.value <= 1e-3
+
+
+class TestNelderMead:
+    # The optimizer's two option sets at the default tol = 1e-7.
+    PHASE1 = {"maxiter": 1200, "xatol": 1e-7, "fatol": 1e-9}
+    PHASE2 = {"maxiter": 4000, "xatol": 1e-10, "fatol": 1e-12}
+
+    @staticmethod
+    def assert_same_run(objective, z0, options):
+        mine = scipy.optimize.minimize(objective, z0, method=_nelder_mead, options=options)
+        ref = scipy.optimize.minimize(
+            objective, z0, method="Nelder-Mead", options={**options, "adaptive": True}
+        )
+        assert np.array_equal(mine.x, ref.x)
+        assert (mine.fun, mine.nit, mine.nfev) == (ref.fun, ref.nit, ref.nfev)
+
+    @pytest.mark.parametrize(
+        "model, targets",
+        [
+            pytest.param(UNIT, DistortionTriple(0.6, 0.6, 0.4), id="unit_outside"),
+            pytest.param(
+                SourceModel(1.0, 0.3, 3.0), DistortionTriple(0.5, 0.3, 0.25), id="asym_noise_out"
+            ),
+        ],
+    )
+    def test_every_default_start_runs_as_in_scipy(self, model, targets):
+        # Bit for bit: every iterate, hence x, fun, nit and nfev.
+        objective = _penalized_objective(model, targets, PENALTY_WEIGHT)
+        starts = _start_vectors(model, targets, OptimizeOptions())
+        for z0 in starts:
+            self.assert_same_run(objective, z0, self.PHASE1)
+        self.assert_same_run(objective, starts[0], self.PHASE2)
+
+    def test_tied_values_keep_numpy_s_order(self, monkeypatch):
+        # Encoder 1 sits on the PSD boundary (w11 = w12 = n1, rho1 = 1), so
+        # five of the seven first vertices share the 1e12 plateau; a constant
+        # objective ties all of them at every step.  Ties take np.argsort's
+        # order, which is not stable.
+        objective = _penalized_objective(UNIT, DistortionTriple(0.6, 0.6, 0.4), PENALTY_WEIGHT)
+        z0 = np.array([0.0, 0.0, 0.5, 0.3, 1.0, 0.0])
+        assert objective(z0) == 1e12
+        argsort, calls = np.argsort, []
+        with monkeypatch.context() as m:
+            m.setattr(np, "argsort", lambda a: calls.append(1) or argsort(a))
+            scipy.optimize.minimize(objective, z0, method=_nelder_mead, options=self.PHASE1)
+        assert calls
+        self.assert_same_run(objective, z0, self.PHASE1)
+        self.assert_same_run(lambda z: 1.0, z0, self.PHASE1)
