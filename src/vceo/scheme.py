@@ -445,26 +445,42 @@ def _penalized_objective(model: SourceModel, targets: DistortionTriple, weight: 
     """Closed-form sum rate plus exact penalty on relative distortion violations."""
     s2, n1, n2 = model.sigma_s2, model.sigma_n1_2, model.sigma_n2_2
     log_caps = np.log(np.array([n1, n1, n2, n2]))
-    lo, hi = (log_caps - 25.0).tolist(), (log_caps + math.log(W_CAP_FACTOR)).tolist()
+    lo11, lo12, lo21, lo22 = (log_caps - 25.0).tolist()
+    hi11, hi12, hi21, hi22 = (log_caps + math.log(W_CAP_FACTOR)).tolist()
     t1v, t2v, t0v = targets.d1, targets.d2, targets.d0
+    exp, sqrt, isinf = np.exp, math.sqrt, math.isinf
 
     def objective(z) -> float:
+        # The clips are conditional expressions with the semantics of np.clip
+        # (up to the sign of a zero, which exp erases) and min(max(.)), NaN included.
+        z11, z12, z21, z22, rho1, rho2 = z
+        z11 = lo11 if lo11 > z11 else z11
+        z12 = lo12 if lo12 > z12 else z12
+        z21 = lo21 if lo21 > z21 else z21
+        z22 = lo22 if lo22 > z22 else z22
         # np.exp, not math.exp: they differ in the last bit, which moves the frozen path.
-        c = [l if l > v else v for v, l in zip(z, lo)]  # np.clip up to the sign of 0
-        w11, w12, w21, w22 = np.exp([h if h < v else v for v, h in zip(c, hi)]).tolist()
-        rho1 = min(max(z[4], 0.0), 1.0)
-        rho2 = min(max(z[5], 0.0), 1.0)
-        a1 = rho1 * min(math.sqrt(w11 * w12), n1)
-        a2 = rho2 * min(math.sqrt(w21 * w22), n2)
+        w11, w12, w21, w22 = exp(
+            [
+                hi11 if hi11 < z11 else z11,
+                hi12 if hi12 < z12 else z12,
+                hi21 if hi21 < z21 else z21,
+                hi22 if hi22 < z22 else z22,
+            ]
+        ).tolist()
+        rho1 = 0.0 if 0.0 > rho1 else rho1
+        rho2 = 0.0 if 0.0 > rho2 else rho2
+        g1, g2 = sqrt(w11 * w12), sqrt(w21 * w22)
+        a1 = (1.0 if 1.0 < rho1 else rho1) * (n1 if n1 < g1 else g1)
+        a2 = (1.0 if 1.0 < rho2 else rho2) * (n2 if n2 < g2 else g2)
         value, inv_dl1, inv_dl2, inv_d0 = _closed_form(s2, n1, n2, w11, w12, w21, w22, a1, a2)
-        if math.isinf(value):
+        if isinf(value):
             return 1e12
-        viol = (
-            max(0.0, 1.0 / (inv_dl1 * t1v) - 1.0)
-            + max(0.0, 1.0 / (inv_dl2 * t2v) - 1.0)
-            + max(0.0, 1.0 / (inv_d0 * t0v) - 1.0)
+        v1 = 1.0 / (inv_dl1 * t1v) - 1.0
+        v2 = 1.0 / (inv_dl2 * t2v) - 1.0
+        v0 = 1.0 / (inv_d0 * t0v) - 1.0
+        return value + weight * (
+            (v1 if v1 > 0.0 else 0.0) + (v2 if v2 > 0.0 else 0.0) + (v0 if v0 > 0.0 else 0.0)
         )
-        return value + weight * viol
 
     return objective
 
@@ -604,7 +620,11 @@ def _order(sim: list[list[float]], fsim: list[float], head_distinct: bool):
 def _nelder_mead(fun, x0, maxiter, xatol, fatol, **_):
     """Adaptive Nelder-Mead (Gao & Han 2012) in six coordinates on lists of floats: a
     ``minimize`` method that repeats scipy 1.17's ``_minimize_neldermead(adaptive=True)``
-    step for step, so every iterate, ``nit`` and ``nfev`` are scipy's."""
+    step for step, so every iterate, ``nit`` and ``nfev`` are scipy's.
+
+    ``fun`` must be deterministic: once a shrink moves no vertex, the run ends with
+    the result scipy reaches by repeating that iteration up to ``maxiter``, and
+    ``nfev`` counts scipy's evaluations, not the calls made."""
     n = len(x0)
     chi, psi, sigma = 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
     sim = [x0.tolist()]
@@ -617,7 +637,7 @@ def _nelder_mead(fun, x0, maxiter, xatol, fatol, **_):
     for _ in range(2):  # scipy sorts the first simplex twice
         sim, fsim, distinct = _order(sim, fsim, False)
     while nit < maxiter:
-        best, worst = sim[0], sim[-1]
+        best, worst, shrunk = sim[0], sim[-1], None
         # fsim is sorted, so its largest |fsim[0] - f| is at the end.
         if abs(fsim[0] - fsim[-1]) <= fatol and all(
             abs(v - b) <= xatol for x in sim[1:] for v, b in zip(x, best)
@@ -643,14 +663,24 @@ def _nelder_mead(fun, x0, maxiter, xatol, fatol, **_):
             nfev += 1
             if fxc <= fxr if outside else fxc < fsim[-1]:
                 sim[-1], fsim[-1] = xc, fxc
-            else:  # shrink toward the best vertex: all of them move
-                distinct = False
+            else:  # shrink toward the best vertex
+                distinct, shrunk = False, (fsim[:], sim[:])
                 for j in range(1, n + 1):
                     sim[j] = [b + sigma * (v - b) for v, b in zip(sim[j], best)]
                     fsim[j] = fun(sim[j])
                 nfev += n
         nit += 1
         sim, fsim, distinct = _order(sim, fsim, distinct)
+        if shrunk == (fsim, sim):
+            # The shrink rounded every vertex back onto itself.  fun is
+            # deterministic, so every further iteration repeats this one
+            # (reflect, contract, shrink: n + 2 evaluations) up to maxiter.
+            # A NaN from a new evaluation compares unequal, so it can only
+            # miss the skip.  A 0.0 matching a -0.0 is harmless: the
+            # objective gives both the same value, and the restart test
+            # y[k] != 0 treats both alike.
+            nfev += (n + 2) * (maxiter - nit)
+            nit = maxiter
     return scipy.optimize.OptimizeResult(x=np.array(sim[0]), fun=fsim[0], nit=nit, nfev=nfev)
 
 
@@ -668,6 +698,10 @@ def optimize_sum_rate(
     Deterministic for fixed (inputs, opts.seed).  The starts use the
     targets only; a caller holding a better scheme (inside the distortion
     condition, the matching construction) passes it as ``opts.warm_start``.
+    Each run follows scipy's adaptive Nelder-Mead bit for bit; a run stuck
+    on a shrink that moves no vertex ends early with scipy's result, so the
+    ``nfev`` of each ``minimize`` call counts scipy's evaluations, not the
+    objective calls made.
 
     Raises InfeasibleTargetsError when a target sits below the remote MMSE
     floor Var(S | X1, X2).

@@ -39,6 +39,7 @@ from vceo.scheme import (
     _nelder_mead,
     _params_from_vector,
     _penalized_objective,
+    _scheme_forms,
     _start_vectors,
 )
 
@@ -361,6 +362,45 @@ class TestPenalizedObjective:
                 infeasible += 1
                 assert objective(z) - rate == pytest.approx(weight * excess, rel=1e-9, abs=1e-9)
 
+    def test_is_the_closed_form_plus_the_penalty_bit_for_bit(self, rng):
+        # Not approximately: the value rebuilt from _closed_form at the decoded
+        # scheme, with the penalty summed in the same order.  Coordinates run
+        # past the lower clip bound and rho past [0, 1]; every third point sits
+        # on the 1e12 plateau (w11 = w12 <= n1 and rho1 >= 1 give det1 = 0).
+        # Past the upper clip bound only flatness is checked: the objective's
+        # cap log(n) + log(W_CAP_FACTOR) and the decoder's log(W_CAP_FACTOR * n)
+        # can differ in the last bit.
+        plateau = 0
+        for i in range(600):
+            model = random_model(rng)
+            targets = random_feasible_targets(rng, model)
+            weight = float(rng.choice([PENALTY_WEIGHT, 3.0]))
+            objective = _penalized_objective(model, targets, weight)
+            log_n = np.log([model.sigma_n1_2, model.sigma_n1_2, model.sigma_n2_2, model.sigma_n2_2])
+            z = np.concatenate([log_n + rng.uniform(-30.0, 4.0, 4), rng.uniform(-0.5, 1.5, 2)])
+            if i % 3 == 0:
+                z[0] = z[1] = min(z[0], log_n[0])
+                z[4] = max(z[4], 1.0)
+            rate, inv_d1, inv_d2, inv_d0 = _scheme_forms(model, _params_from_vector(model, z))
+            if math.isinf(rate):
+                plateau += 1
+                expected = 1e12
+            else:
+                expected = rate + weight * (
+                    max(0.0, 1.0 / (inv_d1 * targets.d1) - 1.0)
+                    + max(0.0, 1.0 / (inv_d2 * targets.d2) - 1.0)
+                    + max(0.0, 1.0 / (inv_d0 * targets.d0) - 1.0)
+                )
+            assert objective(z) == expected
+            assert objective(z.tolist()) == expected
+            # Past the upper clip bound the objective is flat.
+            k = i % 4
+            above = [z.copy(), z.copy()]
+            above[0][k] = log_n[k] + math.log(W_CAP_FACTOR) + 1.0
+            above[1][k] = log_n[k] + 60.0
+            assert objective(above[0]) == objective(above[1])
+        assert plateau >= 200
+
 
 class TestOptimizeSumRate:
     def test_slack_targets_need_almost_no_rate(self):
@@ -508,6 +548,29 @@ class TestNelderMead:
         for z0 in starts:
             self.assert_same_run(objective, z0, self.PHASE1)
         self.assert_same_run(objective, starts[0], self.PHASE2)
+
+    def test_a_shrink_that_moves_nothing_ends_the_run_as_scipy_would(self, monkeypatch):
+        # Some phase-2 runs reach a simplex whose shrink rounds every vertex
+        # back onto itself; from there scipy repeats the same iteration until
+        # maxiter.  _nelder_mead stops evaluating but reports scipy's result.
+        model, targets = SourceModel(1.0, 0.3, 3.0), DistortionTriple(0.5, 0.3, 0.25)
+        runs = []
+        minimize = scipy.optimize.minimize
+
+        def recording(fun, x0, **kwargs):
+            calls = []
+            res = minimize(lambda z: calls.append(1) or fun(z), x0, **kwargs)
+            runs.append((np.array(x0), kwargs["options"], len(calls), res.nfev))
+            return res
+
+        with monkeypatch.context() as m:
+            m.setattr(scipy.optimize, "minimize", recording)
+            optimize_sum_rate(model, targets)
+        # A skipped run called the objective fewer times than its nfev.
+        stuck = [(z0, options) for z0, options, calls, nfev in runs if calls < nfev]
+        assert stuck, "no run skipped a stuck shrink"
+        objective = _penalized_objective(model, targets, PENALTY_WEIGHT)
+        self.assert_same_run(objective, *stuck[0])
 
     def test_tied_values_keep_numpy_s_order(self, monkeypatch):
         # Encoder 1 sits on the PSD boundary (w11 = w12 = n1, rho1 = 1), so
