@@ -43,6 +43,7 @@ from .scheme import (
     DistortionTriple,
     central_precision,
     receiver_precision,
+    require_above_floor,
     require_valid_targets,
 )
 
@@ -115,26 +116,20 @@ def condition_holds(model: SourceModel, targets: DistortionTriple) -> bool:
     return lhs >= 1.0 / targets.d0
 
 
-def _r(n, d1, d2, t, s, xp=np):
-    """r(d1, d2, t, s); ``xp`` is ``math`` for floats, ``numpy`` for arrays.  Finite
-    apart from the limits d + s = 0 and t = inf: a log whose argument leaves the
-    float range (s = 0 with d1, d2 near 0, or t large) is taken term by term;
-    where ``math`` raises or the plain float form is not finite, on the array path."""
-    try:
-        log_ratio = xp.log((n + s) / ((d1 + s) * (d2 + s)))
-        log_floor = xp.log(n * xp.exp(-2.0 * t) + s)
-        r = t + 0.5 * log_ratio + 0.5 * log_floor
-    except (ZeroDivisionError, ValueError):  # math only: numpy returns inf
-        r = math.nan
-    if xp is math and not math.isfinite(r):
-        with np.errstate(all="ignore"):
-            return float(_r(np.float64(n), d1, d2, t, s))
+def _r(n, d1, d2, t, s):
+    """r(d1, d2, t, s), elementwise on arrays; callers silence numpy's warnings.
+    Finite apart from the limits d + s = 0 and t = inf: a log whose argument
+    leaves the float range (s = 0 with d1, d2 near 0, or t large) is taken term
+    by term."""
+    log_ratio = np.log((n + s) / ((d1 + s) * (d2 + s)))
+    log_floor = np.log(n * np.exp(-2.0 * t) + s)
+    r = t + 0.5 * log_ratio + 0.5 * log_floor
     bad = ~np.isfinite(r)  # cheap first: the full test runs only when some r is not finite
     if not (bad.any() and np.any(bad & (np.minimum(d1, d2) + s > 0.0) & np.isfinite(t))):
         return r
-    split = xp.log(n + s) - xp.log(d1 + s) - xp.log(d2 + s)
+    split = np.log(n + s) - np.log(d1 + s) - np.log(d2 + s)
     log_ratio = np.where(np.isinf(log_ratio), split, log_ratio)
-    log_floor = np.where(np.isinf(log_floor), xp.log(n) - 2.0 * t, log_floor)
+    log_floor = np.where(np.isinf(log_floor), np.log(n) - 2.0 * t, log_floor)
     return t + 0.5 * log_ratio + 0.5 * log_floor
 
 
@@ -152,19 +147,19 @@ def r_fn(sigma_n2: float, d1: float, d2: float, t: float, sigma_z2: float) -> fl
     r(d1, d2, t, s) = t + (1/2) log[(n + s) / ((d1 + s)(d2 + s))]
                         + (1/2) log(n e^{-2t} + s)
 
-    in nats.  ``sigma_z2 = inf`` returns the exact limit t.  At ``t = inf``
-    the limit is exact too: t cancels at s = 0, leaving
-    (1/2) log(n^2 / (d1 d2)), and r = inf for every s > 0.
+    in nats, from the array form ``_r``.  ``sigma_z2 = inf`` returns the exact
+    limit t.  At ``t = inf`` the limit is exact too: t cancels at s = 0,
+    leaving (1/2) log(n^2 / (d1 d2)), and r = inf for every s > 0.
     """
     _require_in_box(sigma_n2, d1, d2, t)
     if not sigma_z2 >= 0.0:
         raise DomainError(f"sigma_z2 must be >= 0, got {sigma_z2!r}")
     if math.isinf(sigma_z2):
         return t
-    s = float(sigma_z2)
-    if math.isinf(t) and s == 0.0:
+    if math.isinf(t) and sigma_z2 == 0.0:
         return 0.5 * math.log(sigma_n2 * sigma_n2 / (d1 * d2)) if d1 * d2 > 0.0 else math.inf
-    return _r(sigma_n2, d1, d2, t, s, math)
+    with np.errstate(all="ignore"):
+        return float(_r(np.float64(sigma_n2), d1, d2, t, sigma_z2))
 
 
 def _sup_candidates(n: float, d1, d2, t) -> tuple[list, list]:
@@ -372,25 +367,20 @@ def lower_bound(
     projected onto P (mixed with the start until it projects), and ``in_P``
     names the branch.
 
-    Raises InfeasibleTargetsError when the critical manifold is empty (a
-    target below the remote MMSE floor), naming the violated constraint, and
-    InvalidParamsError unless ``grid`` is an integer >= MIN_GRID (two points
-    per axis scan only the box corners and miss a manifold that is not empty)
-    and ``refine`` an integer >= 0.
+    Raises InfeasibleTargetsError naming a target at or below the remote MMSE
+    floor (``require_above_floor``), or d0 when the scan finds the critical
+    manifold empty just above it; and InvalidParamsError unless ``grid`` is an
+    integer >= MIN_GRID (two points per axis scan only the box corners and miss
+    a manifold that is not empty) and ``refine`` an integer >= 0.
     """
     grid = require_int("grid", grid, MIN_GRID)
     refine = require_int("refine", refine, 0)
     require_valid_targets(model, targets)
+    require_above_floor(model, targets)
     s2, n1, n2 = model.sigma_s2, model.sigma_n1_2, model.sigma_n2_2
     # Precision each receiver must gain over the prior: (1 - d_1l/n_1)/n_1
     # + (1 - d_2l/n_2)/n_2 >= q_l, and likewise with e^{-2t} for the central one.
     q = np.array([1.0 / targets.d1, 1.0 / targets.d2, 1.0 / targets.d0]) - 1.0 / s2
-    for name, need in zip(("d1", "d2", "d0"), q):
-        if need > 1.0 / n1 + 1.0 / n2:
-            raise InfeasibleTargetsError(
-                f"target {name} is below the remote MMSE floor; the admissible set is empty",
-                constraint=name,
-            )
     const = 0.5 * math.log(s2 * s2 / (targets.d1 * targets.d2))
 
     def lift_t(y11, y12, y21, y22, u1=1.0, u2=1.0):

@@ -21,9 +21,9 @@ has one range, in the file and as a flag: ``tol`` finite and >= 0, ``starts``
 an integer >= 1, ``grid`` an integer >= 3, ``seed`` an integer in
 [0, 2**128) for every command, ``unit`` "nats" or "bits".  Booleans are not
 numbers (the library types also take numpy scalars).  All internal
-values are nats; ``--bits`` only converts at render time.  Exit codes:
-0 ok, 1 parse error, 2 infeasible targets, 3 verification failure,
-4 outside the distortion condition.
+values are nats; ``--bits`` only converts at render time.  Exit codes: 0 ok,
+1 parse error, 2 infeasible targets (one at or below Var(S | X1, X2), on every
+command but ``sweep``), 3 verification failure, 4 outside the condition.
 """
 
 from __future__ import annotations
@@ -269,6 +269,7 @@ def cmd_lower_bound(spec: InstanceSpec, opts: Options, fmt: str, out) -> int:
 
 def cmd_verify(spec: InstanceSpec, opts: Options, fmt: str, out, identity_tol: float) -> int:
     bits = opts.unit == "bits"
+    _scheme.require_above_floor(spec.model, spec.targets)  # exit 2 before exit 4
     if not _bound.condition_holds(spec.model, spec.targets):
         _emit(
             {

@@ -194,6 +194,20 @@ def full_mmse(model: SourceModel) -> float:
     return 1.0 / receiver_precision(model.sigma_s2, model.sigma_n1_2, model.sigma_n2_2, 0.0, 0.0)
 
 
+def require_above_floor(model: SourceModel, targets: DistortionTriple) -> None:
+    """The achievable region's and the converse's one rule: each target lies strictly
+    above Var(S | X1, X2).  InfeasibleTargetsError names the first that does not."""
+    floor = full_mmse(model)
+    for name in ("d1", "d2", "d0"):
+        target = getattr(targets, name)
+        if not target > floor:
+            raise InfeasibleTargetsError(
+                f"target {name} = {target!r} is at or below the remote MMSE floor "
+                f"Var(S | X1, X2) = {floor!r}",
+                constraint=name,
+            )
+
+
 def _marginal_d(noise_var: float, w: float) -> float:
     """Var(X | U, S) for U = X + W: the parallel combination of noise and W."""
     if math.isinf(w):
@@ -429,12 +443,17 @@ def _is_feasible(
     )
 
 
+def _log_w_box(model: SourceModel) -> tuple[np.ndarray, np.ndarray]:
+    """Clip bounds of the coordinates log w_kl, 25 nats below log n_k up to the
+    "description absent" cap W_CAP_FACTOR * n_k: one box for every (de)coder."""
+    n1, n2 = model.sigma_n1_2, model.sigma_n2_2
+    log_n = np.log(np.array([n1, n1, n2, n2]))
+    return log_n - 25.0, log_n + math.log(W_CAP_FACTOR)
+
+
 def _params_from_vector(model: SourceModel, z: np.ndarray) -> SchemeParams:
     """Decode optimizer coordinates: log-variances for w, [0, 1] mixing for a."""
-    caps = np.array(
-        [model.sigma_n1_2, model.sigma_n1_2, model.sigma_n2_2, model.sigma_n2_2]
-    )
-    w = np.exp(np.clip(z[:4], np.log(caps) - 25.0, np.log(W_CAP_FACTOR * caps)))
+    w = np.exp(np.clip(z[:4], *_log_w_box(model)))
     rho = np.clip(z[4:6], 0.0, 1.0)
     a1 = rho[0] * min(math.sqrt(w[0] * w[1]), model.sigma_n1_2)
     a2 = rho[1] * min(math.sqrt(w[2] * w[3]), model.sigma_n2_2)
@@ -444,9 +463,7 @@ def _params_from_vector(model: SourceModel, z: np.ndarray) -> SchemeParams:
 def _penalized_objective(model: SourceModel, targets: DistortionTriple, weight: float):
     """Closed-form sum rate plus exact penalty on relative distortion violations."""
     s2, n1, n2 = model.sigma_s2, model.sigma_n1_2, model.sigma_n2_2
-    log_caps = np.log(np.array([n1, n1, n2, n2]))
-    lo11, lo12, lo21, lo22 = (log_caps - 25.0).tolist()
-    hi11, hi12, hi21, hi22 = (log_caps + math.log(W_CAP_FACTOR)).tolist()
+    (lo11, lo12, lo21, lo22), (hi11, hi12, hi21, hi22) = (b.tolist() for b in _log_w_box(model))
     t1v, t2v, t0v = targets.d1, targets.d2, targets.d0
     exp, sqrt, isinf = np.exp, math.sqrt, math.isinf
 
@@ -553,11 +570,8 @@ def _start_vectors(
 
 def _vector_from_params(model: SourceModel, p: SchemeParams) -> np.ndarray:
     """Encode a scheme into optimizer coordinates (inverse of _params_from_vector)."""
-    caps = np.array(
-        [model.sigma_n1_2, model.sigma_n1_2, model.sigma_n2_2, model.sigma_n2_2]
-    )
     w = np.maximum(np.array([p.w11, p.w12, p.w21, p.w22]), 1e-300)
-    z_w = np.log(np.minimum(w, W_CAP_FACTOR * caps))
+    z_w = np.minimum(np.log(w), _log_w_box(model)[1])
     rho1 = p.a1 / min(math.sqrt(p.w11 * p.w12), model.sigma_n1_2) if p.a1 > 0 else 0.0
     rho2 = p.a2 / min(math.sqrt(p.w21 * p.w22), model.sigma_n2_2) if p.a2 > 0 else 0.0
     return np.concatenate([z_w, [min(rho1, 1.0), min(rho2, 1.0)]])
@@ -703,19 +717,12 @@ def optimize_sum_rate(
     ``nfev`` of each ``minimize`` call counts scipy's evaluations, not the
     objective calls made.
 
-    Raises InfeasibleTargetsError when a target sits below the remote MMSE
-    floor Var(S | X1, X2).
+    Raises InfeasibleTargetsError, before any evaluation, when a target lies
+    at or below the remote MMSE floor Var(S | X1, X2) (``require_above_floor``).
     """
     opts = opts or OptimizeOptions()
     require_valid_targets(model, targets)
-    floor = full_mmse(model)
-    for name, target in (("d1", targets.d1), ("d2", targets.d2), ("d0", targets.d0)):
-        if target < floor * (1.0 - 1e-12):
-            raise InfeasibleTargetsError(
-                f"target {name} = {target:.6g} is below the remote MMSE floor "
-                f"Var(S | X1, X2) = {floor:.6g}",
-                constraint=name,
-            )
+    require_above_floor(model, targets)
 
     objective = _penalized_objective(model, targets, PENALTY_WEIGHT)
 

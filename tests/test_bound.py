@@ -84,8 +84,8 @@ class TestRFn:
     @pytest.mark.parametrize("d", [1e-200, 0.5])
     def test_float_path_past_the_float_range_matches_the_array_path(self, d):
         # At d = 1e-200 the product (d1 + s)(d2 + s) underflows to 0, and at
-        # t = 400 so does n e^{-2t}: math raises where numpy returns inf, and
-        # both paths must take the logs term by term.
+        # t = 400 so does n e^{-2t}: r_fn on floats, like _r on arrays, must
+        # take the logs term by term, silently.
         with np.errstate(divide="ignore", invalid="ignore"):
             expected = float(_r(1.0, np.array(d), np.array(d), np.array(400.0), 0.0))
         assert math.isfinite(expected)

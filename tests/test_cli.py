@@ -200,7 +200,8 @@ class TestVerifyCommand:
         assert out["identity_diff"] <= 1e-14
 
     def test_outside_condition_exits_4(self, tmp_path, capsys):
-        doc = {"model": CANONICAL_DOC["model"], "targets": {"d1": 0.4, "d2": 0.4, "d0": 0.3}}
+        # Feasible targets: below the floor 1/3, verify exits 2 (TestRemoteMmseFloor).
+        doc = {"model": CANONICAL_DOC["model"], "targets": {"d1": 0.6, "d2": 0.6, "d0": 0.4}}
         path = write_instance(tmp_path, doc)
         assert main(["verify", "--instance", path]) == EXIT_OUTSIDE_CONDITION
         assert "outside" in capsys.readouterr().out
@@ -462,6 +463,34 @@ class TestSweepCommand:
         assert main(args + ["--stop", value, "--steps", "1"]) == EXIT_OK
         row = capsys.readouterr().out.strip().splitlines()[1].split(",")
         assert row[2:] == ["nan", "nan", "nan", "false"]
+
+
+class TestRemoteMmseFloor:
+    # Model (1, 1, 1) has the floor Var(S | X1, X2) = 1/3: d0 exactly at it,
+    # and d0 one step below it outside the distortion condition.
+    AT_FLOOR = {"d1": 0.4, "d2": 0.4, "d0": 0.3333333333333333}
+    BELOW_FLOOR = {"d1": 0.6, "d2": 0.6, "d0": 0.33333333333333315}
+
+    @pytest.mark.parametrize("targets", [AT_FLOOR, BELOW_FLOOR], ids=["at", "below"])
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("sum-rate", []), ("lower-bound", []), ("verify", []), ("mc-check", ["--n", "20000"])],
+    )
+    def test_every_command_exits_2_naming_the_target(
+        self, tmp_path, capsys, targets, command, extra
+    ):
+        path = write_instance(tmp_path, {"model": CANONICAL_DOC["model"], "targets": targets})
+        assert main([command, "--instance", path, *extra]) == EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert "target d0 = " in err and "remote MMSE floor" in err
+
+    def test_sweep_prints_the_row_at_the_floor_as_nan(self, tmp_path, capsys):
+        doc = {"model": CANONICAL_DOC["model"], "targets": self.AT_FLOOR}
+        args = ["sweep", "--instance", write_instance(tmp_path, doc), "--var", "d0"]
+        d0 = repr(self.AT_FLOOR["d0"])
+        assert main(args + ["--start", d0, "--stop", d0, "--steps", "1"]) == EXIT_OK
+        row = capsys.readouterr().out.strip().splitlines()[1]
+        assert row == "d0,0.333333333333,nan,nan,nan,true"
 
 
 class TestMcCheckCommand:

@@ -365,11 +365,9 @@ class TestPenalizedObjective:
     def test_is_the_closed_form_plus_the_penalty_bit_for_bit(self, rng):
         # Not approximately: the value rebuilt from _closed_form at the decoded
         # scheme, with the penalty summed in the same order.  Coordinates run
-        # past the lower clip bound and rho past [0, 1]; every third point sits
-        # on the 1e12 plateau (w11 = w12 <= n1 and rho1 >= 1 give det1 = 0).
-        # Past the upper clip bound only flatness is checked: the objective's
-        # cap log(n) + log(W_CAP_FACTOR) and the decoder's log(W_CAP_FACTOR * n)
-        # can differ in the last bit.
+        # past both clip bounds and rho past [0, 1]; every third point sits on
+        # the 1e12 plateau (w11 = w12 <= n1 and rho1 >= 1 give det1 = 0), and
+        # every point also moves one coordinate past the upper clip bound.
         plateau = 0
         for i in range(600):
             model = random_model(rng)
@@ -377,28 +375,27 @@ class TestPenalizedObjective:
             weight = float(rng.choice([PENALTY_WEIGHT, 3.0]))
             objective = _penalized_objective(model, targets, weight)
             log_n = np.log([model.sigma_n1_2, model.sigma_n1_2, model.sigma_n2_2, model.sigma_n2_2])
-            z = np.concatenate([log_n + rng.uniform(-30.0, 4.0, 4), rng.uniform(-0.5, 1.5, 2)])
+            z = np.concatenate([log_n + rng.uniform(-30.0, 25.0, 4), rng.uniform(-0.5, 1.5, 2)])
             if i % 3 == 0:
                 z[0] = z[1] = min(z[0], log_n[0])
                 z[4] = max(z[4], 1.0)
-            rate, inv_d1, inv_d2, inv_d0 = _scheme_forms(model, _params_from_vector(model, z))
-            if math.isinf(rate):
-                plateau += 1
-                expected = 1e12
-            else:
-                expected = rate + weight * (
-                    max(0.0, 1.0 / (inv_d1 * targets.d1) - 1.0)
-                    + max(0.0, 1.0 / (inv_d2 * targets.d2) - 1.0)
-                    + max(0.0, 1.0 / (inv_d0 * targets.d0) - 1.0)
+            above = z.copy()
+            above[i % 4] = log_n[i % 4] + rng.uniform(math.log(W_CAP_FACTOR), 60.0)
+            for point in (z, above):
+                rate, inv_d1, inv_d2, inv_d0 = _scheme_forms(
+                    model, _params_from_vector(model, point)
                 )
-            assert objective(z) == expected
-            assert objective(z.tolist()) == expected
-            # Past the upper clip bound the objective is flat.
-            k = i % 4
-            above = [z.copy(), z.copy()]
-            above[0][k] = log_n[k] + math.log(W_CAP_FACTOR) + 1.0
-            above[1][k] = log_n[k] + 60.0
-            assert objective(above[0]) == objective(above[1])
+                if math.isinf(rate):
+                    plateau += point is z
+                    expected = 1e12
+                else:
+                    expected = rate + weight * (
+                        max(0.0, 1.0 / (inv_d1 * targets.d1) - 1.0)
+                        + max(0.0, 1.0 / (inv_d2 * targets.d2) - 1.0)
+                        + max(0.0, 1.0 / (inv_d0 * targets.d0) - 1.0)
+                    )
+                assert objective(point) == expected
+                assert objective(point.tolist()) == expected
         assert plateau >= 200
 
 
@@ -427,6 +424,37 @@ class TestOptimizeSumRate:
             optimize_sum_rate(UNIT, DistortionTriple(0.5, 0.5, 0.2))
         assert exc.value.constraint == "d0"
         assert full_mmse(UNIT) == pytest.approx(1.0 / 3.0)
+
+    @pytest.mark.parametrize(
+        "targets", [(0.4, 0.4, 0.3333333333333333), (0.6, 0.6, 0.33333333333333315)]
+    )
+    def test_targets_at_or_below_the_floor_raise_before_any_evaluation(self, targets, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the objective was built for infeasible targets")
+
+        monkeypatch.setattr(vceo.scheme, "_penalized_objective", forbidden)
+        with pytest.raises(InfeasibleTargetsError) as exc:
+            optimize_sum_rate(UNIT, DistortionTriple(*targets))
+        assert exc.value.constraint == "d0"
+
+    @pytest.mark.parametrize(
+        "name, targets",
+        [
+            ("d1", (1.0 / 3.0, 0.5, 0.3)),
+            ("d2", (0.5, 1.0 / 3.0, 0.3)),
+            ("d0", (0.4, 0.4, 1.0 / 3.0)),
+        ],
+    )
+    def test_the_optimizer_and_the_bound_share_one_floor_rule(self, name, targets):
+        # The floor 1/3 of UNIT is exactly 1.0 / 3.0 in floats.
+        targets = DistortionTriple(*targets)
+        with pytest.raises(InfeasibleTargetsError) as opt:
+            optimize_sum_rate(UNIT, targets)
+        with pytest.raises(InfeasibleTargetsError) as lb:
+            lower_bound(UNIT, targets)
+        assert opt.value.constraint == lb.value.constraint == name
+        assert str(opt.value) == str(lb.value)
+        assert full_mmse(UNIT) == 1.0 / 3.0
 
     def test_never_calls_the_bound_or_the_construction(self, monkeypatch):
         # Inside the distortion condition too, seeding is the caller's choice:
