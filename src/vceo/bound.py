@@ -43,7 +43,6 @@ from .scheme import (
     DistortionTriple,
     central_precision,
     receiver_precision,
-    require_above_floor,
     require_valid_targets,
 )
 
@@ -66,6 +65,8 @@ EQUALITY_RTOL = 1e-9
 BOX_RTOL = 1e-12
 #: Fewest grid points per axis: two scan only the box corners.
 MIN_GRID = 3
+#: Grid points per axis of ``lower_bound``'s starting scan unless one is given.
+DEFAULT_GRID = 64
 
 
 class PBranch(Enum):
@@ -351,7 +352,7 @@ class LowerBoundResult:
 def lower_bound(
     model: SourceModel,
     targets: DistortionTriple,
-    grid: int = 64,
+    grid: int = DEFAULT_GRID,
     refine: int = 2,
 ) -> LowerBoundResult:
     """Infimum of the bound objective over the critical manifold, as one convex solve.
@@ -367,16 +368,15 @@ def lower_bound(
     projected onto P (mixed with the start until it projects), and ``in_P``
     names the branch.
 
-    Raises InfeasibleTargetsError naming a target at or below the remote MMSE
-    floor (``require_above_floor``), or d0 when the scan finds the critical
-    manifold empty just above it; and InvalidParamsError unless ``grid`` is an
+    Raises what ``require_valid_targets`` raises; InfeasibleTargetsError naming
+    d0 when, just above the floor, the scan finds the critical manifold empty or
+    its start misses it by roundoff; and InvalidParamsError unless ``grid`` is an
     integer >= MIN_GRID (two points per axis scan only the box corners and miss
     a manifold that is not empty) and ``refine`` an integer >= 0.
     """
     grid = require_int("grid", grid, MIN_GRID)
     refine = require_int("refine", refine, 0)
     require_valid_targets(model, targets)
-    require_above_floor(model, targets)
     s2, n1, n2 = model.sigma_s2, model.sigma_n1_2, model.sigma_n2_2
     # Precision each receiver must gain over the prior: (1 - d_1l/n_1)/n_1
     # + (1 - d_2l/n_2)/n_2 >= q_l, and likewise with e^{-2t} for the central one.
@@ -413,14 +413,17 @@ def lower_bound(
     x0 = np.array(best_at + tuple(float(v) for v in complete(*best_at)))
 
     # Constraints >= 0, each scaled to O(1): the receiver gains over their
-    # targets (linear), the box floors log y + 2t, and the central gain.
-    gain = np.array([[1.0 / n1, 0.0, 1.0 / n2, 0.0], [0.0, 1.0 / n1, 0.0, 1.0 / n2]]) / q[:2, None]
+    # targets (linear), the box floors log y + 2t, and the central gain.  A
+    # target that rounds to 1/d = 1/sigma_s2 needs no gain, and y <= 1 meets it.
+    needs_gain = q[:2] > 0.0
+    gain = np.array([[1.0 / n1, 0.0, 1.0 / n2, 0.0], [0.0, 1.0 / n1, 0.0, 1.0 / n2]])
+    gain /= np.where(needs_gain, q[:2], 1.0)[:, None]
     gain0 = np.array([1.0 / n1, 1.0 / n2]) / q[2]
     pick_t = np.repeat(np.eye(2), 2, axis=0)
     constraints = {
         "type": "ineq",
         "fun": lambda x: np.r_[
-            gain @ (1.0 - x[:4]) - 1.0,
+            gain @ (1.0 - x[:4]) - needs_gain,
             np.log(x[:4]) + 2.0 * pick_t @ x[4:],
             -np.expm1(-2.0 * x[4:]) @ gain0 - 1.0,
         ],
@@ -454,7 +457,12 @@ def lower_bound(
         argmin = project_to_P(model, targets, params_of(x))
     except (DomainError, InvalidParamsError):
         # Keep the mix with the start nearest x that projects (F is convex).
-        argmin, lo, hi = project_to_P(model, targets, params_of(x0)), 0.0, 1.0
+        try:
+            argmin, lo, hi = project_to_P(model, targets, params_of(x0)), 0.0, 1.0
+        except (DomainError, InvalidParamsError):
+            raise InfeasibleTargetsError(
+                "the scan's start misses the critical manifold by roundoff", constraint="d0"
+            ) from None
         for _ in range(40):
             mid = 0.5 * (lo + hi)
             try:

@@ -22,8 +22,8 @@ an integer >= 1, ``grid`` an integer >= 3, ``seed`` an integer in
 [0, 2**128) for every command, ``unit`` "nats" or "bits".  Booleans are not
 numbers (the library types also take numpy scalars).  All internal
 values are nats; ``--bits`` only converts at render time.  Exit codes: 0 ok,
-1 parse error, 2 infeasible targets (one at or below Var(S | X1, X2), on every
-command but ``sweep``), 3 verification failure, 4 outside the condition.
+1 parse error, 2 infeasible targets (one outside (Var(S | X1, X2), sigma_s2),
+on every command but ``sweep``), 3 verification failure, 4 outside the condition.
 """
 
 from __future__ import annotations
@@ -74,12 +74,12 @@ LN2 = math.log(2.0)
 @dataclass(frozen=True)
 class Options:
     """Solver options of an instance file, overridden by flags; ``starts``,
-    ``tol`` and ``seed`` are checked by ``OptimizeOptions``."""
+    ``tol`` and ``seed`` take their defaults and checks from ``OptimizeOptions``."""
 
-    tol: float = 1e-7
-    starts: int = 16
-    grid: int = 64
-    seed: int = 0
+    tol: float = OptimizeOptions.tol
+    starts: int = OptimizeOptions.starts
+    grid: int = _bound.DEFAULT_GRID
+    seed: int = OptimizeOptions.seed
     unit: str = "nats"
 
     def __post_init__(self) -> None:
@@ -152,8 +152,8 @@ def load_instance(path: str) -> InstanceSpec:
 # Rendering helpers
 
 
-def _rate(value: float, bits: bool) -> float:
-    return value / LN2 if bits else value
+def _rate(value: float, opts: Options) -> float:
+    return value / LN2 if opts.unit == "bits" else value
 
 
 def _jsonable(value: Any) -> Any:
@@ -229,14 +229,13 @@ def _achievable(
 
 
 def cmd_sum_rate(spec: InstanceSpec, opts: Options, fmt: str, out) -> int:
-    bits = opts.unit == "bits"
     result = _achievable(spec.model, spec.targets, opts)
     doc = {
         "command": "sum-rate",
         "unit": opts.unit,
-        "sum_rate": _rate(result.breakdown.sum_rate, bits),
-        "term_mi_joint": _rate(result.breakdown.term_mi_joint, bits),
-        "term_mi_cross": _rate(result.breakdown.term_mi_cross, bits),
+        "sum_rate": _rate(result.breakdown.sum_rate, opts),
+        "term_mi_joint": _rate(result.breakdown.term_mi_joint, opts),
+        "term_mi_cross": _rate(result.breakdown.term_mi_cross, opts),
         "params": dataclasses.asdict(result.params),
         "achieved_distortions": {
             "delta_1": result.distortions[0],
@@ -249,13 +248,12 @@ def cmd_sum_rate(spec: InstanceSpec, opts: Options, fmt: str, out) -> int:
 
 
 def cmd_lower_bound(spec: InstanceSpec, opts: Options, fmt: str, out) -> int:
-    bits = opts.unit == "bits"
     cond = _bound.condition_holds(spec.model, spec.targets)
     result = _bound.lower_bound(spec.model, spec.targets, grid=opts.grid)
     doc = {
         "command": "lower-bound",
         "unit": opts.unit,
-        "lower_bound": _rate(result.value, bits),
+        "lower_bound": _rate(result.value, opts),
         "branch": result.branch.value,
         "argmin": dataclasses.asdict(result.argmin),
         "sigma_z": {"sigma_z1_2": result.sigma_z[0], "sigma_z2_2": result.sigma_z[1]},
@@ -268,8 +266,7 @@ def cmd_lower_bound(spec: InstanceSpec, opts: Options, fmt: str, out) -> int:
 
 
 def cmd_verify(spec: InstanceSpec, opts: Options, fmt: str, out, identity_tol: float) -> int:
-    bits = opts.unit == "bits"
-    _scheme.require_above_floor(spec.model, spec.targets)  # exit 2 before exit 4
+    _scheme.require_valid_targets(spec.model, spec.targets)  # exit 2 before exit 4
     if not _bound.condition_holds(spec.model, spec.targets):
         _emit(
             {
@@ -292,14 +289,14 @@ def cmd_verify(spec: InstanceSpec, opts: Options, fmt: str, out, identity_tol: f
         "command": "verify",
         "status": status,
         "unit": opts.unit,
-        "achievable": _rate(ach.breakdown.sum_rate, bits),
-        "lower_bound": _rate(lb.value, bits),
+        "achievable": _rate(ach.breakdown.sum_rate, opts),
+        "lower_bound": _rate(lb.value, opts),
         "relative_gap": rel_gap,
         "equality_tol": 1e-3,
-        "identity_lhs": _rate(report.lhs, bits),
-        "identity_rhs": _rate(report.rhs, bits),
-        "identity_diff": _rate(report.diff, bits),
-        "identity_tol": _rate(identity_tol, bits),
+        "identity_lhs": _rate(report.lhs, opts),
+        "identity_rhs": _rate(report.rhs, opts),
+        "identity_diff": _rate(report.diff, opts),
+        "identity_tol": _rate(identity_tol, opts),
         "cases": list(report.cases),
         "constructed_sigma_z": list(report.sigma_z),
         "conditional_mi": list(report.cond_mi),
@@ -318,8 +315,6 @@ def cmd_sweep(
     stop: float,
     steps: int,
 ) -> int:
-    if var not in SWEEP_VARS:
-        raise InstanceParseError(f"unknown sweep variable {var!r}; choose from {SWEEP_VARS}")
     print(",".join(SWEEP_COLUMNS), file=out)
     for i in range(steps):
         value = start if steps == 1 else start + (stop - start) * i / (steps - 1)
@@ -329,8 +324,7 @@ def cmd_sweep(
         try:
             model = SourceModel(fields["sigma_s2"], fields["sigma_n1_2"], fields["sigma_n2_2"])
             targets = DistortionTriple(fields["d1"], fields["d2"], fields["d0"])
-            _scheme.require_valid_targets(model, targets)
-            cond = _bound.condition_holds(model, targets)
+            cond = targets.valid_for(model) and _bound.condition_holds(model, targets)
             lb_res = _bound.lower_bound(model, targets, grid=opts.grid)
             ach_res = _achievable(model, targets, opts, lb_res)
             ach, lb = ach_res.breakdown.sum_rate, lb_res.value

@@ -1,4 +1,4 @@
-"""Semantic exception types shared across the package, and the two input
+"""Semantic exception types shared across the package, and the input
 validators every constructor and entry point uses.
 
 This is the bottom layer: it imports no sibling module.
@@ -7,6 +7,18 @@ This is the bottom layer: it imports no sibling module.
 import math
 import numbers
 import operator
+
+__all__ = [
+    "VceoError",
+    "InvalidParamsError",
+    "InfeasibleTargetsError",
+    "DegenerateConditioningError",
+    "InfiniteMutualInformationError",
+    "DomainError",
+    "InternalContradictionError",
+    "DegenerateRegressionError",
+    "InstanceParseError",
+]
 
 
 class VceoError(Exception):
@@ -83,6 +95,21 @@ def require_int(name: str, value, low: int, high: float = math.inf) -> int:
         bound = f">= {low}" if high == math.inf else f"in [{low}, {_int_text(high)})"
         raise InvalidParamsError(f"{name} must be {bound}, got {value!r}")
     return index
+
+
+def require_index(name: str, k) -> int:
+    """``k`` as an int: the 1-based index of an encoder or receiver, 1 or 2."""
+    if k in (1, 2):
+        return int(k)
+    raise InvalidParamsError(f"{name} index must be 1 or 2, got {k!r}")
+
+
+def require_label(labels: tuple[str, ...], label: str) -> int:
+    """Position of ``label`` among ``labels``."""
+    try:
+        return labels.index(label)
+    except ValueError:
+        raise InvalidParamsError(f"unknown label {label!r}; have {labels}") from None
 
 
 def _int_text(n: int) -> str:

@@ -28,6 +28,8 @@ from .errors import (
     DegenerateConditioningError,
     InfiniteMutualInformationError,
     InvalidParamsError,
+    require_index,
+    require_label,
     require_real,
 )
 
@@ -69,11 +71,7 @@ class SourceModel:
 
     def noise_var(self, k: int) -> float:
         """Observation-noise variance of encoder ``k`` (1 or 2)."""
-        if k == 1:
-            return self.sigma_n1_2
-        if k == 2:
-            return self.sigma_n2_2
-        raise InvalidParamsError(f"encoder index must be 1 or 2, got {k!r}")
+        return self.sigma_n1_2 if require_index("encoder", k) == 1 else self.sigma_n2_2
 
 
 @dataclass(frozen=True)
@@ -107,10 +105,7 @@ class LabeledCov:
         object.__setattr__(self, "matrix", m)
 
     def index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise InvalidParamsError(f"unknown label {label!r}; have {self.labels}") from None
+        return require_label(self.labels, label)
 
     def indices(self, labels: Iterable[str]) -> list[int]:
         return [self.index(x) for x in _as_labels(labels)]

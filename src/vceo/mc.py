@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import scheme as _scheme
-from .errors import DegenerateRegressionError, InvalidParamsError, require_int
+from .errors import DegenerateRegressionError, InvalidParamsError, require_int, require_label
 from .gaussmodel import SourceModel, _joint_law
 from .scheme import SEED_LIMIT, SchemeParams
 
@@ -46,10 +46,7 @@ class JointSamples:
         return self.data.shape[0]
 
     def index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise InvalidParamsError(f"unknown label {label!r}; have {self.labels}") from None
+        return require_label(self.labels, label)
 
     def column(self, label: str) -> np.ndarray:
         return self.data[:, self.index(label)]

@@ -33,6 +33,7 @@ from .errors import (
     InfeasibleTargetsError,
     InfiniteMutualInformationError,
     InvalidParamsError,
+    require_index,
     require_int,
     require_real,
 )
@@ -91,11 +92,9 @@ class SchemeParams:
 
     def encoder(self, k: int) -> tuple[float, float, float]:
         """(w_k1, w_k2, a_k) of encoder ``k``."""
-        if k == 1:
+        if require_index("encoder", k) == 1:
             return self.w11, self.w12, self.a1
-        if k == 2:
-            return self.w21, self.w22, self.a2
-        raise InvalidParamsError(f"encoder index must be 1 or 2, got {k!r}")
+        return self.w21, self.w22, self.a2
 
 
 @dataclass(frozen=True)
@@ -146,11 +145,9 @@ class BoundParams:
 
     def encoder(self, k: int) -> tuple[float, float, float]:
         """(d_k1, d_k2, t_k) of encoder ``k``."""
-        if k == 1:
+        if require_index("encoder", k) == 1:
             return self.d11, self.d12, self.t1
-        if k == 2:
-            return self.d21, self.d22, self.t2
-        raise InvalidParamsError(f"encoder index must be 1 or 2, got {k!r}")
+        return self.d21, self.d22, self.t2
 
 
 @dataclass(frozen=True)
@@ -181,22 +178,20 @@ class RateBreakdown:
         return self.r11, self.r12, self.r21, self.r22  # type: ignore[return-value]
 
 
-def require_valid_targets(model: SourceModel, targets: DistortionTriple) -> None:
-    if not targets.valid_for(model):
-        raise InvalidParamsError(
-            f"max(d1, d2) = {max(targets.d1, targets.d2)} must be strictly "
-            f"below sigma_s2 = {model.sigma_s2}"
-        )
-
-
 def full_mmse(model: SourceModel) -> float:
     """Var(S | X1, X2): the distortion floor once both observations are exhausted."""
     return 1.0 / receiver_precision(model.sigma_s2, model.sigma_n1_2, model.sigma_n2_2, 0.0, 0.0)
 
 
-def require_above_floor(model: SourceModel, targets: DistortionTriple) -> None:
-    """The achievable region's and the converse's one rule: each target lies strictly
-    above Var(S | X1, X2).  InfeasibleTargetsError names the first that does not."""
+def require_valid_targets(model: SourceModel, targets: DistortionTriple) -> None:
+    """The one input rule of the achievable region and the converse: each target lies
+    strictly between Var(S | X1, X2) and sigma_s2.  InvalidParamsError names a target
+    at or above sigma_s2, InfeasibleTargetsError the first at or below the floor."""
+    if not targets.valid_for(model):
+        raise InvalidParamsError(
+            f"max(d1, d2) = {max(targets.d1, targets.d2)} must be strictly "
+            f"below sigma_s2 = {model.sigma_s2}"
+        )
     floor = full_mmse(model)
     for name in ("d1", "d2", "d0"):
         target = getattr(targets, name)
@@ -313,9 +308,7 @@ def receiver_distortion(model: SourceModel, params: SchemeParams, l: int) -> flo
 
     1/delta_l = 1/sigma_s2 + 1/n_1 + 1/n_2 - d'_1l/n_1^2 - d'_2l/n_2^2.
     """
-    if l not in (1, 2):
-        raise InvalidParamsError(f"receiver index must be 1 or 2, got {l!r}")
-    return 1.0 / _scheme_forms(model, params)[l]
+    return 1.0 / _scheme_forms(model, params)[require_index("receiver", l)]
 
 
 def central_distortion(model: SourceModel, params: SchemeParams) -> float:
@@ -717,12 +710,10 @@ def optimize_sum_rate(
     ``nfev`` of each ``minimize`` call counts scipy's evaluations, not the
     objective calls made.
 
-    Raises InfeasibleTargetsError, before any evaluation, when a target lies
-    at or below the remote MMSE floor Var(S | X1, X2) (``require_above_floor``).
+    Raises what ``require_valid_targets`` raises, before any evaluation.
     """
     opts = opts or OptimizeOptions()
     require_valid_targets(model, targets)
-    require_above_floor(model, targets)
 
     objective = _penalized_objective(model, targets, PENALTY_WEIGHT)
 

@@ -459,6 +459,29 @@ class TestLowerBound:
             return
         assert math.isfinite(value)
 
+    @given(
+        log_vars=st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+        ulps=st.integers(1, 4),
+        x=st.tuples(*[st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)] * 2),
+    )
+    # d2 one ulp below sigma_s2, so 1/d2 - 1/sigma_s2 rounds to 0: no gain to scale by.
+    @example(log_vars=(0.5, 1.0, 1.0), ulps=1, x=(0.5, 0.9999999999999998))
+    @settings(max_examples=50, deadline=None)
+    def test_d0_a_few_ulps_above_the_floor_gives_a_value_or_infeasible(self, log_vars, ulps, x):
+        # So close to the floor the scan's own start can miss P by roundoff:
+        # that is infeasible targets, never another error or a RuntimeWarning.
+        model = SourceModel(*(10.0**v for v in log_vars))
+        d0 = full_mmse(model)
+        for _ in range(ulps):
+            d0 = math.nextafter(d0, math.inf)
+        d1, d2 = (d0 * (model.sigma_s2 / d0) ** xi for xi in x)
+        assume(d0 < min(d1, d2) and max(d1, d2) < model.sigma_s2)
+        try:
+            value = lower_bound(model, DistortionTriple(d1, d2, d0)).value
+        except InfeasibleTargetsError:
+            return
+        assert math.isfinite(value)
+
 
 class TestCriticalSetStructure:
     def test_pairwise_sum_inequality_and_classification(self, rng):

@@ -168,6 +168,24 @@ class TestLowerBoundCommand:
         main(["lower-bound", "--instance", canonical])
         assert capsys.readouterr().out == first
 
+    def test_start_that_misses_the_manifold_by_roundoff_exits_2(self, tmp_path, capsys):
+        # d0 one ulp above the floor: the scan's own start does not project onto P.
+        doc = {
+            "model": {
+                "sigma_s2": 1.422829204038726,
+                "sigma_n1_2": 0.010860901950254886,
+                "sigma_n2_2": 0.018071794797504252,
+            },
+            "targets": {
+                "d1": 0.018203468167278386,
+                "d2": 0.010000375474435132,
+                "d0": 0.006751690415097433,
+            },
+        }
+        path = write_instance(tmp_path, doc)
+        assert main(["lower-bound", "--instance", path]) == EXIT_INFEASIBLE
+        assert "critical manifold" in capsys.readouterr().err
+
     def test_tol_flag_is_checked_and_unused(self, canonical, capsys):
         # The bound runs no optimizer, so --tol leaves its output alone.
         argv = ["lower-bound", "--instance", canonical, "--output", "json"]
@@ -467,22 +485,33 @@ class TestSweepCommand:
 
 class TestRemoteMmseFloor:
     # Model (1, 1, 1) has the floor Var(S | X1, X2) = 1/3: d0 exactly at it,
-    # and d0 one step below it outside the distortion condition.
+    # and d0 one step below it outside the distortion condition.  The targets
+    # also lie below sigma_s2 = 1, and d1 = 1.5 does not: outside the condition too.
     AT_FLOOR = {"d1": 0.4, "d2": 0.4, "d0": 0.3333333333333333}
     BELOW_FLOOR = {"d1": 0.6, "d2": 0.6, "d0": 0.33333333333333315}
+    AT_CEILING = {"d1": 1.5, "d2": 0.5, "d0": 0.45}
+    FLOOR_MESSAGE = ("target d0 = ", "remote MMSE floor")
 
-    @pytest.mark.parametrize("targets", [AT_FLOOR, BELOW_FLOOR], ids=["at", "below"])
+    @pytest.mark.parametrize(
+        "targets, message",
+        [
+            (AT_FLOOR, FLOOR_MESSAGE),
+            (BELOW_FLOOR, FLOOR_MESSAGE),
+            (AT_CEILING, ("max(d1, d2) = 1.5", "below sigma_s2 = 1.0")),
+        ],
+        ids=["at", "below", "ceiling"],
+    )
     @pytest.mark.parametrize(
         "command, extra",
         [("sum-rate", []), ("lower-bound", []), ("verify", []), ("mc-check", ["--n", "20000"])],
     )
     def test_every_command_exits_2_naming_the_target(
-        self, tmp_path, capsys, targets, command, extra
+        self, tmp_path, capsys, targets, message, command, extra
     ):
         path = write_instance(tmp_path, {"model": CANONICAL_DOC["model"], "targets": targets})
         assert main([command, "--instance", path, *extra]) == EXIT_INFEASIBLE
         err = capsys.readouterr().err
-        assert "target d0 = " in err and "remote MMSE floor" in err
+        assert all(part in err for part in message)
 
     def test_sweep_prints_the_row_at_the_floor_as_nan(self, tmp_path, capsys):
         doc = {"model": CANONICAL_DOC["model"], "targets": self.AT_FLOOR}

@@ -1,7 +1,8 @@
 """Module layering of the package: relative imports form an acyclic graph,
-all of them at module level."""
+all of them at module level, and the package exports what its modules declare."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import vceo
@@ -78,3 +79,17 @@ def test_errors_is_the_bottom_layer():
 def test_no_function_local_relative_imports():
     local = {(name, fn) for name, c in _collect().items() for fn in c.local}
     assert not local, f"relative imports inside functions: {sorted(local)}"
+
+
+def test_package_exports_the_union_of_the_module_lists():
+    # Each public name is declared once, in its module's __all__; the CLI is
+    # reached as vceo.cli and declares nothing at the top level.
+    names = []
+    for stem in sorted(_collect().keys() - {"__init__", "__main__", "cli"}):
+        module = importlib.import_module(f"vceo.{stem}")
+        assert hasattr(module, "__all__"), f"vceo.{stem} declares no __all__"
+        for name in module.__all__:
+            assert getattr(vceo, name) is getattr(module, name)
+        names += module.__all__
+    assert len(names) == len(set(names)), "a public name is declared twice"
+    assert sorted(vceo.__all__) == sorted(names)
