@@ -250,11 +250,11 @@ def project_to_P(model: SourceModel, targets: DistortionTriple, p: BoundParams) 
 
     Follows the constructive argument: move d_11, d_12 by the receiver slack
     onto the individual equalities or to the n_1 cap, then raise d_21, d_22 to
-    the equalities; lower t_1 to central equality or to its box floor, then
-    t_2 likewise.  The slack is signed, so a receiver that an input inside
-    F's tolerance misses by roundoff is met again by lowering d_1l; otherwise
-    d components never decrease, t components never increase, and points
-    already critical return unchanged.
+    the equalities; lower t_1 to central equality, then t_2 likewise, each
+    kept at or above its box floor.  The slack is signed, so a receiver that an
+    input inside F's tolerance misses by roundoff is met again by lowering d_1l,
+    and t rises only to its box floor; otherwise d components never decrease,
+    t components never increase, and points already critical return unchanged.
     """
     if not in_F(model, targets, p):
         raise DomainError("projection input must lie in the admissible set F")
@@ -280,7 +280,7 @@ def project_to_P(model: SourceModel, targets: DistortionTriple, p: BoundParams) 
         need = 1.0 / targets.d0 - 1.0 / s2 - (1.0 - u[1 - k]) / n[1 - k]
         u_eq = 1.0 - n[k] * need
         t_eq = -0.5 * math.log(u_eq) if 0.0 < u_eq <= 1.0 else 0.0
-        t[k] = min(t[k], max(floor, t_eq))
+        t[k] = max(floor, min(t[k], t_eq))
     out = BoundParams(*d, *t)
     if in_P(model, targets, out) is None:
         raise DomainError(
@@ -365,12 +365,13 @@ def lower_bound(
     shrink the window 8x around the incumbent; the scan puts d_21, d_22 on the
     receiver equalities and e^{-2t} on the box floor, scaled down by one
     common factor until the central constraint holds.  The solver's point is
-    projected onto P (mixed with the start until it projects), and ``in_P``
-    names the branch.
+    projected onto P, and ``in_P`` names the branch.  After a status-4 exit or a
+    point that does not project, SLSQP reruns once from the start with
+    y <= 1 - 1e-3; there is no search.
 
     Raises what ``require_valid_targets`` raises; InfeasibleTargetsError naming
-    d0 when, just above the floor, the scan finds the critical manifold empty or
-    its start misses it by roundoff; and InvalidParamsError unless ``grid`` is an
+    d0 when the scan finds the critical manifold empty, or when neither run
+    ends on a point that projects; and InvalidParamsError unless ``grid`` is an
     integer >= MIN_GRID (two points per axis scan only the box corners and miss
     a manifold that is not empty) and ``refine`` an integer >= 0.
     """
@@ -436,40 +437,37 @@ def lower_bound(
         ),
     }
 
-    # y stays off 0, where log y is -inf; the box floor keeps the minimiser above it anyway.
-    x = scipy.optimize.minimize(
-        _sup_r_grad,
-        x0,
-        jac=True,
-        method="SLSQP",
-        bounds=[(1e-300, 1.0)] * 4 + [(0.0, None)] * 2,
-        constraints=constraints,
-        options={"maxiter": 200, "ftol": 1e-15},
-    ).x
-
-    def params_of(x: np.ndarray) -> BoundParams:
-        """A point of F near x: y clipped into [0, 1] and t lifted onto F."""
-        y = np.clip(x[:4], 0.0, 1.0)
-        t1, t2 = lift_t(*y, *np.exp(-2.0 * x[4:]))
-        return BoundParams(n1 * y[0], n1 * y[1], n2 * y[2], n2 * y[3], t1, t2)
-
-    try:
-        argmin = project_to_P(model, targets, params_of(x))
-    except (DomainError, InvalidParamsError):
-        # Keep the mix with the start nearest x that projects (F is convex).
+    def solved(start: np.ndarray) -> BoundParams | None:
+        """SLSQP's point from start, y clipped into [0, 1] and t lifted onto F, then
+        projected onto P; None when it does not project or SLSQP exits with status 4
+        ("inequality constraints incompatible"), which leaves it on its start."""
+        # y stays off 0, where log y is -inf; the box floor keeps the minimiser above it anyway.
+        result = scipy.optimize.minimize(
+            _sup_r_grad,
+            start,
+            jac=True,
+            method="SLSQP",
+            bounds=[(1e-300, 1.0)] * 4 + [(0.0, None)] * 2,
+            constraints=constraints,
+            options={"maxiter": 200, "ftol": 1e-15},
+        )
+        if result.status == 4:
+            return None
+        y = np.clip(result.x[:4], 0.0, 1.0)
         try:
-            argmin, lo, hi = project_to_P(model, targets, params_of(x0)), 0.0, 1.0
+            p = BoundParams(*(n1 * y[:2]), *(n2 * y[2:]), *lift_t(*y, *np.exp(-2.0 * result.x[4:])))
+            return project_to_P(model, targets, p)
         except (DomainError, InvalidParamsError):
-            raise InfeasibleTargetsError(
-                "the scan's start misses the critical manifold by roundoff", constraint="d0"
-            ) from None
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            try:
-                argmin = project_to_P(model, targets, params_of(mid * x + (1.0 - mid) * x0))
-                lo = mid
-            except (DomainError, InvalidParamsError):
-                hi = mid
+            return None
+
+    argmin = solved(x0)
+    if argmin is None:
+        argmin = solved(np.r_[np.minimum(x0[:4], 1.0 - 1e-3), x0[4:]])
+    if argmin is None:
+        raise InfeasibleTargetsError(
+            "neither SLSQP run ends on a point that projects onto the critical manifold",
+            constraint="d0",
+        )
     branch = in_P(model, targets, argmin)
     (sz1, v1), (sz2, v2) = (sup_sigma_z(model.noise_var(k), *argmin.encoder(k)) for k in (1, 2))
     return LowerBoundResult(value=v1 + v2 + const, argmin=argmin, branch=branch, sigma_z=(sz1, sz2))

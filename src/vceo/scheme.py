@@ -64,6 +64,8 @@ PENALTY_WEIGHT = 1e4
 #: Seeds lie in [0, SEED_LIMIT): the Monte-Carlo oracle keys Philox, which
 #: takes a 128-bit key, with the same seed the optimizer draws its starts from.
 SEED_LIMIT = 2**128
+#: Relative margin above Var(S | X1, X2) within which doubles no longer resolve a target.
+FLOOR_MARGIN = 1e-7
 
 
 @dataclass(frozen=True)
@@ -185,8 +187,8 @@ def full_mmse(model: SourceModel) -> float:
 
 def require_valid_targets(model: SourceModel, targets: DistortionTriple) -> None:
     """The one input rule of the achievable region and the converse: each target lies
-    strictly between Var(S | X1, X2) and sigma_s2.  InvalidParamsError names a target
-    at or above sigma_s2, InfeasibleTargetsError the first at or below the floor."""
+    strictly between Var(S | X1, X2) (1 + FLOOR_MARGIN) and sigma_s2.  InvalidParamsError
+    names a target at or above sigma_s2, InfeasibleTargetsError the first below the margin."""
     if not targets.valid_for(model):
         raise InvalidParamsError(
             f"max(d1, d2) = {max(targets.d1, targets.d2)} must be strictly "
@@ -195,10 +197,10 @@ def require_valid_targets(model: SourceModel, targets: DistortionTriple) -> None
     floor = full_mmse(model)
     for name in ("d1", "d2", "d0"):
         target = getattr(targets, name)
-        if not target > floor:
+        if not target > floor * (1.0 + FLOOR_MARGIN):
             raise InfeasibleTargetsError(
-                f"target {name} = {target!r} is at or below the remote MMSE floor "
-                f"Var(S | X1, X2) = {floor!r}",
+                f"target {name} = {target!r} is not above the remote MMSE floor "
+                f"Var(S | X1, X2) = {floor!r} by the relative margin {FLOOR_MARGIN:g}",
                 constraint=name,
             )
 

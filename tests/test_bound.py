@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -31,6 +32,7 @@ from vceo import (
 )
 import vceo.bound
 from vceo.bound import _r, _sup_r_grad, _sup_r_vec, in_F
+from vceo.scheme import FLOOR_MARGIN
 
 from conftest import (
     random_condition_targets,
@@ -283,6 +285,24 @@ class TestProjectToP:
             for name in ("d11", "d12", "d21", "d22", "t1", "t2"):
                 assert getattr(again, name) == pytest.approx(getattr(out, name), rel=1e-9)
 
+    def test_receiver_slack_that_lowers_d_keeps_t_on_its_box_floor(self):
+        # The signed slack lowers d_11 below n_1 e^{-2 t_1}; t_1 must rise to the
+        # new floor, not stay under it.
+        model = SourceModel(0.3173378836592071, 10.525886327999576, 0.3496289118127627)
+        targets = DistortionTriple(0.1871025335159335, 0.16397108633071486, 0.163924368936329)
+        p = BoundParams(
+            10.525886327998116,
+            0.3340481949263091,
+            0.08150103471309025,
+            0.0005798281863779491,
+            1.7251537939695405,
+            3.429135065461026,
+        )
+        assert in_F(model, targets, p)
+        out = project_to_P(model, targets, p)
+        assert all(vceo.bound.in_F_k(model.noise_var(k), *out.encoder(k)) for k in (1, 2))
+        assert in_P(model, targets, out) is not None
+
     def test_rejects_points_outside_f(self):
         with pytest.raises(DomainError):
             project_to_P(UNIT, CANONICAL, BoundParams(0.9, 0.9, 0.9, 0.9, 0.1, 0.1))
@@ -391,22 +411,51 @@ class TestLowerBound:
             precision = 1 / s2 + 1 / n1 + 1 / n2 - Fraction(d1l) / n1**2 - Fraction(d2l) / n2**2
             assert precision >= 1 / Fraction(target)
 
-    def test_solver_point_that_does_not_project_falls_back_to_a_mix(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "status_4, rejected, projections",
+        [(0, 0, 1), (1, 0, 1), (0, 1, 2), (0, 2, 2), (2, 0, 0)],
+        ids=["none", "status 4", "first point", "both points", "both status 4"],
+    )
+    def test_a_failed_solve_reruns_slsqp_once(self, monkeypatch, status_4, rejected, projections):
+        # A status-4 exit, or a point that does not project, reruns SLSQP once;
+        # when the rerun fails too, the targets are reported infeasible.
         reference = lower_bound(UNIT, CANONICAL).value
-        original = vceo.bound.project_to_P
-        calls = []
+        minimize, project = scipy.optimize.minimize, vceo.bound.project_to_P
+        results, points = [], []
 
-        def first_rejected(model, targets, p):
-            calls.append(p)
-            if len(calls) == 1:
+        def counted_minimize(*args, **kwargs):
+            results.append(minimize(*args, **kwargs))
+            if len(results) <= status_4:
+                results[-1].status = 4
+            return results[-1]
+
+        def counted_project(model, targets, p):
+            points.append(p)
+            if len(points) <= rejected:
                 raise DomainError("rejected for the test")
-            return original(model, targets, p)
+            return project(model, targets, p)
 
-        monkeypatch.setattr(vceo.bound, "project_to_P", first_rejected)
-        lb = lower_bound(UNIT, CANONICAL)
-        assert len(calls) > 2
-        assert in_P(UNIT, CANONICAL, lb.argmin) is lb.branch
-        assert reference * (1.0 - 1e-12) <= lb.value <= reference * (1.0 + 1e-9)
+        monkeypatch.setattr(scipy.optimize, "minimize", counted_minimize)
+        monkeypatch.setattr(vceo.bound, "project_to_P", counted_project)
+        if status_4 + rejected == 2:
+            with pytest.raises(InfeasibleTargetsError, match="neither SLSQP run") as info:
+                lower_bound(UNIT, CANONICAL)
+            assert info.value.constraint == "d0"
+        else:
+            lb = lower_bound(UNIT, CANONICAL)
+            assert in_P(UNIT, CANONICAL, lb.argmin) is lb.branch
+            assert lb.value == pytest.approx(reference, rel=1e-9)
+        assert (len(results), len(points)) == (1 + (status_4 + rejected > 0), projections)
+
+    def test_status_4_start_is_not_the_argmin(self):
+        # SLSQP stops on its start with status 4 here, and taking that start gave
+        # 2.3397 nats, above the 2.0936 that sum-rate achieves.  The bound's
+        # objective at that scheme's marginals, a point of F, is 1.9111646319034041.
+        model = SourceModel(0.25644727054911703, 0.022079160962013077, 58.88678724176635)
+        targets = DistortionTriple(0.03840763763755487, 0.173003554716161, 0.025390842872698164)
+        value = lower_bound(model, targets).value
+        assert value <= 1.9111646319034041 * (1.0 + 1e-9)
+        assert value <= optimize_sum_rate(model, targets).breakdown.sum_rate
 
     @pytest.mark.parametrize("grid", [2, 0, -4, 3.5])
     def test_grid_below_three_is_invalid(self, grid):
@@ -464,14 +513,13 @@ class TestLowerBound:
         ulps=st.integers(1, 4),
         x=st.tuples(*[st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)] * 2),
     )
-    # d2 one ulp below sigma_s2, so 1/d2 - 1/sigma_s2 rounds to 0: no gain to scale by.
-    @example(log_vars=(0.5, 1.0, 1.0), ulps=1, x=(0.5, 0.9999999999999998))
     @settings(max_examples=50, deadline=None)
-    def test_d0_a_few_ulps_above_the_floor_gives_a_value_or_infeasible(self, log_vars, ulps, x):
-        # So close to the floor the scan's own start can miss P by roundoff:
-        # that is infeasible targets, never another error or a RuntimeWarning.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_d0_a_few_ulps_above_the_margin_gives_a_value_or_infeasible(self, log_vars, ulps, x):
+        # The nearest targets that the rule lets through reach SLSQP: they give
+        # a value or infeasible targets, never another error or a RuntimeWarning.
         model = SourceModel(*(10.0**v for v in log_vars))
-        d0 = full_mmse(model)
+        d0 = full_mmse(model) * (1.0 + FLOOR_MARGIN)
         for _ in range(ulps):
             d0 = math.nextafter(d0, math.inf)
         d1, d2 = (d0 * (model.sigma_s2 / d0) ** xi for xi in x)
@@ -481,6 +529,16 @@ class TestLowerBound:
         except InfeasibleTargetsError:
             return
         assert math.isfinite(value)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_d2_one_ulp_below_sigma_s2_solves_with_no_gain_to_scale_by(self):
+        # d2 one ulp below sigma_s2, so 1/d2 - 1/sigma_s2 rounds to 0: the receiver
+        # constraint once divided by that gain.  d0 passes the target rule, so SLSQP runs.
+        model = SourceModel(10.0**0.5, 10.0, 10.0)
+        d0 = math.nextafter(full_mmse(model) * (1.0 + FLOOR_MARGIN), math.inf)
+        d1, d2 = d0 * (model.sigma_s2 / d0) ** 0.5, math.nextafter(model.sigma_s2, 0.0)
+        assert 1.0 / d2 - 1.0 / model.sigma_s2 == 0.0
+        assert math.isfinite(lower_bound(model, DistortionTriple(d1, d2, d0)).value)
 
 
 class TestCriticalSetStructure:

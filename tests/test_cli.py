@@ -46,6 +46,15 @@ def write_instance(tmp_path, doc, name="case.json"):
     return str(path)
 
 
+def child_env(**extra):
+    """Environment of a child that imports the same vceo as this process, from
+    src/ or an installed copy, and nothing from the working directory."""
+    paths = [str(Path(vceo.__file__).resolve().parents[1])]
+    if os.environ.get("PYTHONPATH"):
+        paths.append(os.environ["PYTHONPATH"])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(paths), **extra)
+
+
 class TestInstanceParsing:
     def test_round_trip_is_canonical(self):
         spec = parse_instance(json.dumps(CANONICAL_DOC))
@@ -169,7 +178,8 @@ class TestLowerBoundCommand:
         assert capsys.readouterr().out == first
 
     def test_start_that_misses_the_manifold_by_roundoff_exits_2(self, tmp_path, capsys):
-        # d0 one ulp above the floor: the scan's own start does not project onto P.
+        # d0 one ulp above the floor, where the scan's own start does not project
+        # onto P: the target rule's margin rejects it before the bound runs.
         doc = {
             "model": {
                 "sigma_s2": 1.422829204038726,
@@ -184,7 +194,32 @@ class TestLowerBoundCommand:
         }
         path = write_instance(tmp_path, doc)
         assert main(["lower-bound", "--instance", path]) == EXIT_INFEASIBLE
-        assert "critical manifold" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert all(part in err for part in TestRemoteMmseFloor.FLOOR_MESSAGE)
+
+    def test_value_does_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # Under two BLAS threads SLSQP stops on its start with status 4, and
+        # the value read from there was 3.7% high; under one it converges.
+        doc = {
+            "model": {
+                "sigma_s2": 5.663602538571031,
+                "sigma_n1_2": 0.11279823080889358,
+                "sigma_n2_2": 25.855864736477002,
+            },
+            "targets": {
+                "d1": 0.14387571314568925,
+                "d2": 4.220265884355086,
+                "d0": 0.13581970117415154,
+            },
+        }
+        argv = [sys.executable, "-m", "vceo", "lower-bound", "--output", "json", "--instance"]
+        argv.append(write_instance(tmp_path, doc))
+        values = []
+        for threads in ("1", "2"):
+            env = child_env(OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run(argv, capture_output=True, text=True, env=env, check=True)
+            values.append(json.loads(proc.stdout)["lower_bound"])
+        assert values[1] == pytest.approx(values[0], rel=1e-9)
 
     def test_tol_flag_is_checked_and_unused(self, canonical, capsys):
         # The bound runs no optimizer, so --tol leaves its output alone.
@@ -487,19 +522,23 @@ class TestRemoteMmseFloor:
     # Model (1, 1, 1) has the floor Var(S | X1, X2) = 1/3: d0 exactly at it,
     # and d0 one step below it outside the distortion condition.  The targets
     # also lie below sigma_s2 = 1, and d1 = 1.5 does not: outside the condition too.
+    # d0 = floor (1 + 2e-14) lies within the margin, where doubles no longer
+    # resolve the rate and verify used to exit 3.
     AT_FLOOR = {"d1": 0.4, "d2": 0.4, "d0": 0.3333333333333333}
+    NEAR_FLOOR = {"d1": 0.4, "d2": 0.4, "d0": 0.33333333333334}
     BELOW_FLOOR = {"d1": 0.6, "d2": 0.6, "d0": 0.33333333333333315}
     AT_CEILING = {"d1": 1.5, "d2": 0.5, "d0": 0.45}
-    FLOOR_MESSAGE = ("target d0 = ", "remote MMSE floor")
+    FLOOR_MESSAGE = ("target d0 = ", "remote MMSE floor", "relative margin 1e-07")
 
     @pytest.mark.parametrize(
         "targets, message",
         [
             (AT_FLOOR, FLOOR_MESSAGE),
             (BELOW_FLOOR, FLOOR_MESSAGE),
+            (NEAR_FLOOR, FLOOR_MESSAGE),
             (AT_CEILING, ("max(d1, d2) = 1.5", "below sigma_s2 = 1.0")),
         ],
-        ids=["at", "below", "ceiling"],
+        ids=["at", "below", "near", "ceiling"],
     )
     @pytest.mark.parametrize(
         "command, extra",
@@ -561,18 +600,12 @@ class TestCliPlumbing:
         assert "sum-rate" in proc.stdout
 
     def test_console_script_help(self, tmp_path):
-        # The child must import the same vceo as this process, from src/ or an
-        # installed copy, and nothing from the working directory.
-        paths = [str(Path(vceo.__file__).resolve().parents[1])]
-        if os.environ.get("PYTHONPATH"):
-            paths.append(os.environ["PYTHONPATH"])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
         proc = subprocess.run(
             [sys.executable, "-m", "vceo", "--help"],
             capture_output=True,
             text=True,
             cwd=tmp_path,
-            env=env,
+            env=child_env(),
         )
         self._assert_help(proc)
 
