@@ -170,7 +170,8 @@ def _sup_candidates(n: float, d1, d2, t) -> tuple[list, list]:
     stationarity quadratic a s^2 + b s + c = 0 (the linear root twice when
     a = 0), and the s -> inf limit with its exact value t.  A root that is
     not real, positive and finite carries r = -inf.  At t = inf every s > 0
-    gives r = inf, which the limit candidate alone represents.
+    gives r = inf, which the limit candidate alone represents.  The grid scan
+    uses this array form; ``_sup_points`` repeats it in floats at single points.
     """
     d1, d2, t = np.asarray(d1), np.asarray(d2), np.asarray(t)
     e = n * np.exp(-2.0 * t)
@@ -183,15 +184,16 @@ def _sup_candidates(n: float, d1, d2, t) -> tuple[list, list]:
         r_vals.append(np.where(finite_t, _r(n, d1, d2, t, 0.0), -np.inf))
         disc = b * b - 4.0 * a * c
         sq = np.sqrt(np.maximum(disc, 0.0))
+        quadratic, linear = np.abs(a) > 0.0, np.abs(b) > 0.0
+        two_a = np.where(quadratic, 2.0 * a, 1.0)
+        linear_root = np.where(linear, -c / np.where(linear, b, 1.0), -1.0)
         for sgn in (1.0, -1.0):
-            root = np.where(
-                np.abs(a) > 0.0,
-                (-b + sgn * sq) / np.where(np.abs(a) > 0.0, 2.0 * a, 1.0),
-                np.where(np.abs(b) > 0.0, -c / np.where(np.abs(b) > 0.0, b, 1.0), -1.0),
-            )
+            root = np.where(quadratic, (-b + sgn * sq) / two_a, linear_root)
             ok = (disc >= 0.0) & (root > 0.0) & np.isfinite(root) & finite_t
             s_vals.append(root)
-            r_vals.append(np.where(ok, _r(n, d1, d2, t, np.where(ok, root, 1.0)), -np.inf))
+            # The scan often has a root that is valid nowhere: r is then not evaluated.
+            r = _r(n, d1, d2, t, np.where(ok, root, 1.0)) if ok.any() else -np.inf
+            r_vals.append(np.where(ok, r, -np.inf))
     s_vals.append(math.inf)
     r_vals.append(t)
     return s_vals, r_vals
@@ -200,6 +202,46 @@ def _sup_candidates(n: float, d1, d2, t) -> tuple[list, list]:
 def _sup_r_vec(n: float, d1: np.ndarray, d2: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Vectorised sup over s >= 0 of r: the largest candidate value."""
     return functools.reduce(np.maximum, _sup_candidates(n, d1, d2, t)[1])
+
+
+def _sup_points(n: float, points) -> list[tuple[list, list, float]]:
+    """``_sup_candidates`` at each point (d1, d2, t) of floats, bit for bit in
+    plain floats: per point its s and r lists, and e = n e^{-2t}.
+
+    Float arithmetic rounds as numpy's does, but ``math.exp`` and ``math.log``
+    can differ from numpy's in the last bit, so the exponentials take one
+    ``np.exp`` call on a list, and the logs one ``np.log`` call.  A candidate
+    with a log argument that is not positive and finite, as where
+    (d1 + s)(d2 + s) underflows, takes r from ``_r``, which splits the logs.
+    """
+    out, logged = [], []  # logged: (point, candidate, ratio, floor) for np.log
+    for (d1, d2, t), u in zip(points, np.exp([-2.0 * t for _, _, t in points]).tolist()):
+        e = n * u
+        a = (d1 + d2) - (e + n)
+        b = 2.0 * (d1 * d2 - e * n)
+        c = (e + n) * d1 * d2 - e * n * (d1 + d2)
+        disc = b * b - 4.0 * a * c
+        sq = math.sqrt(max(disc, 0.0))
+        s_vals = [0.0] + [
+            (-b + sgn * sq) / (2.0 * a) if abs(a) > 0.0 else -c / b if abs(b) > 0.0 else -1.0
+            for sgn in (1.0, -1.0)
+        ]
+        r_vals = [-math.inf] * 3
+        for j, s in enumerate(s_vals):
+            if not (math.isfinite(t) and (j == 0 or (disc >= 0.0 and 0.0 < s < math.inf))):
+                continue
+            prod = (d1 + s) * (d2 + s)
+            ratio = (n + s) / prod if prod > 0.0 else 0.0
+            if 0.0 < ratio < math.inf and 0.0 < e + s < math.inf:
+                logged.append((len(out), j, ratio, e + s))
+            else:
+                with np.errstate(all="ignore"):
+                    r_vals[j] = float(_r(np.float64(n), d1, d2, t, s))
+        out.append((s_vals + [math.inf], r_vals + [t], e))
+    logs = np.log([x for *_, ratio, floor in logged for x in (ratio, floor)]).tolist()
+    for (i, j, _, _), log_ratio, log_floor in zip(logged, logs[::2], logs[1::2]):
+        out[i][1][j] = points[i][2] + 0.5 * log_ratio + 0.5 * log_floor
+    return out
 
 
 def sup_sigma_z(sigma_n2: float, d1: float, d2: float, t: float) -> tuple[float, float]:
@@ -211,8 +253,8 @@ def sup_sigma_z(sigma_n2: float, d1: float, d2: float, t: float) -> tuple[float,
     only when it is larger by more than 1e-15.
     """
     _require_in_box(sigma_n2, d1, d2, t)
-    s_vals, r_vals = _sup_candidates(sigma_n2, d1, d2, t)
-    candidates = sorted((float(s), float(r)) for s, r in zip(s_vals, r_vals) if r > -math.inf)
+    [(s_vals, r_vals, _)] = _sup_points(float(sigma_n2), [(float(d1), float(d2), float(t))])
+    candidates = sorted((s, r) for s, r in zip(s_vals, r_vals) if r > -math.inf)
     best_s, best_val = math.nan, -math.inf
     for s, val in candidates:
         if val > best_val + 1e-15:
@@ -322,21 +364,23 @@ def _sup_r_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
     and its Danskin gradient: the gradient of r at the maximising s.
 
     With sigma = s/n, r no longer depends on n, so both encoders are one
-    call of ``_sup_candidates`` at n = 1.
+    call of ``_sup_points`` at n = 1.  As under ``np.argmax``, the first
+    largest candidate is the maximiser.
     """
-    y1, y2, t = x[[0, 2]], x[[1, 3]], x[4:]
-    s_vals, r_vals = _sup_candidates(1.0, y1, y2, t)
-    r = np.array(r_vals)
-    k = np.argmax(r, axis=0)
-    sigma = np.choose(k, s_vals)
-    finite = np.isfinite(sigma)
-    s = np.where(finite, sigma, 0.0)
-    grad = np.empty(6)
-    grad[[0, 2]] = np.where(finite, -0.5 / (y1 + s), 0.0)
-    grad[[1, 3]] = np.where(finite, -0.5 / (y2 + s), 0.0)
-    # d/dt r = s / (e^{-2t} + s): 0 at s = 0 even where e^{-2t} underflows.
-    grad[4:] = np.where(finite, s / np.where(s > 0.0, np.exp(-2.0 * t) + s, 1.0), 1.0)
-    return float(r.max(axis=0).sum()), grad
+    y11, y12, y21, y22, t1, t2 = x.tolist()
+    points = ((y11, y12, t1), (y21, y22, t2))
+    value, grad_y, grad_t = 0.0, [], []
+    for (y1, y2, _), (s_vals, r_vals, e) in zip(points, _sup_points(1.0, points)):
+        k = max(range(4), key=r_vals.__getitem__)
+        s, value = s_vals[k], value + r_vals[k]
+        if not math.isfinite(s):  # the s -> inf limit, r = t
+            grad_y += [0.0, 0.0]
+            grad_t.append(1.0)
+            continue
+        grad_y += [-0.5 / (y1 + s), -0.5 / (y2 + s)]
+        # d/dt r = s / (e^{-2t} + s): 0 at s = 0 even where e^{-2t} underflows.
+        grad_t.append(s / (e + s) if s > 0.0 else 0.0)
+    return value, np.array(grad_y + grad_t)
 
 
 @dataclass(frozen=True)
@@ -420,22 +464,25 @@ def lower_bound(
     gain = np.array([[1.0 / n1, 0.0, 1.0 / n2, 0.0], [0.0, 1.0 / n1, 0.0, 1.0 / n2]])
     gain /= np.where(needs_gain, q[:2], 1.0)[:, None]
     gain0 = np.array([1.0 / n1, 1.0 / n2]) / q[2]
-    pick_t = np.repeat(np.eye(2), 2, axis=0)
-    constraints = {
-        "type": "ineq",
-        "fun": lambda x: np.r_[
-            gain @ (1.0 - x[:4]) - needs_gain,
-            np.log(x[:4]) + 2.0 * pick_t @ x[4:],
-            -np.expm1(-2.0 * x[4:]) @ gain0 - 1.0,
-        ],
-        "jac": lambda x: np.block(
-            [
-                [-gain, np.zeros((2, 2))],
-                [np.diag(1.0 / x[:4]), 2.0 * pick_t],
-                [np.zeros((1, 4)), 2.0 * np.exp(-2.0 * x[4:]) * gain0],
-            ]
-        ),
-    }
+    pick_2t = 2.0 * np.repeat(np.eye(2), 2, axis=0)  # 2 t_k against each y_kl
+    # Both callbacks fill one array each, which SLSQP copies out after each call;
+    # the Jacobian's constant blocks are set once, and its y-diagonal is a view.
+    con, jac = np.empty(7), np.zeros((7, 6))
+    jac[:2, :4], jac[2:6, 4:] = -gain, pick_2t
+    jac_log_y = np.einsum("ii->i", jac[2:6, :4])
+
+    def con_fun(x: np.ndarray) -> np.ndarray:
+        con[:2] = gain @ (1.0 - x[:4]) - needs_gain
+        con[2:6] = np.log(x[:4]) + pick_2t @ x[4:]
+        con[6] = -np.expm1(-2.0 * x[4:]) @ gain0 - 1.0
+        return con
+
+    def con_jac(x: np.ndarray) -> np.ndarray:
+        jac_log_y[:] = 1.0 / x[:4]
+        jac[6, 4:] = 2.0 * np.exp(-2.0 * x[4:]) * gain0
+        return jac
+
+    constraints = {"type": "ineq", "fun": con_fun, "jac": con_jac}
 
     def solved(start: np.ndarray) -> BoundParams | None:
         """SLSQP's point from start, y clipped into [0, 1] and t lifted onto F, then

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -363,7 +364,9 @@ def cmd_mc_check(spec: InstanceSpec, opts: Options, fmt: str, out, n: int) -> in
 # Argument parsing
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="vceo",
         description="Sum rate, converse bound, and optimality certificates for the "

@@ -31,7 +31,7 @@ from vceo import (
     sup_sigma_z,
 )
 import vceo.bound
-from vceo.bound import _r, _sup_r_grad, _sup_r_vec, in_F
+from vceo.bound import _r, _sup_candidates, _sup_r_grad, _sup_r_vec, in_F
 from vceo.scheme import FLOOR_MARGIN
 
 from conftest import (
@@ -56,6 +56,33 @@ GRID_SEARCH_VALUES = [
     ((1.0, 0.3, 3.0), (0.5, 0.3, 0.25), 2.107634916436175),
     ((1.0, 1.0, 1.0), (0.6, 0.6, 0.4), 1.8971199848858809),
 ]
+
+
+def numpy_sup_r_grad(x):
+    """The array form of ``_sup_r_grad``: both encoders as one elementwise call
+    of ``_sup_candidates`` at n = 1, the maximiser by ``np.argmax``."""
+    y1, y2, t = x[[0, 2]], x[[1, 3]], x[4:]
+    s_vals, r_vals = _sup_candidates(1.0, y1, y2, t)
+    r = np.array(r_vals)
+    k = np.argmax(r, axis=0)
+    sigma = np.choose(k, s_vals)
+    finite = np.isfinite(sigma)
+    s = np.where(finite, sigma, 0.0)
+    grad = np.empty(6)
+    grad[[0, 2]] = np.where(finite, -0.5 / (y1 + s), 0.0)
+    grad[[1, 3]] = np.where(finite, -0.5 / (y2 + s), 0.0)
+    grad[4:] = np.where(finite, s / np.where(s > 0.0, np.exp(-2.0 * t) + s, 1.0), 1.0)
+    return float(r.max(axis=0).sum()), grad
+
+
+def numpy_sup_sigma_z(n, d1, d2, t):
+    """``sup_sigma_z`` from the array form ``_sup_candidates`` on 0-d input."""
+    s_vals, r_vals = _sup_candidates(n, d1, d2, t)
+    best_s, best_val = math.nan, -math.inf
+    for s, val in sorted((float(s), float(r)) for s, r in zip(s_vals, r_vals) if r > -math.inf):
+        if val > best_val + 1e-15:
+            best_s, best_val = s, val
+    return best_s, best_val
 
 
 def random_F_k_triple(rng, sigma_n2):
@@ -177,6 +204,79 @@ class TestSupSigmaZ:
         grid = _sup_r_vec(n, np.array([d1, 0.3]), np.array([d2, 0.9]), np.array([math.inf, 0.7]))
         assert grid[0] == math.inf
         assert grid[1] == pytest.approx(sup_sigma_z(n, 0.3, 0.9, 0.7)[1], abs=1e-14)
+
+
+# y over [1e-300, 1], uniform and log-uniform; t at the box floor plus a step.
+Y = st.one_of(st.floats(1e-300, 1.0), st.floats(-300.0, 0.0).map(lambda v: 10.0**v))
+T_STEP = st.sampled_from([0.0, 1e-3, 1.0, 50.0, 400.0])
+
+
+def floor_t(y1, y2):
+    return -0.5 * math.log(min(y1, y2))
+
+
+class TestFloatForm:
+    """The plain-float sup equals the array form ``_sup_candidates`` bit for bit."""
+
+    @staticmethod
+    def assert_grad_equal(x):
+        value, grad = _sup_r_grad(np.array(x))
+        ref_value, ref_grad = numpy_sup_r_grad(np.array(x))
+        assert value == ref_value
+        assert grad.tolist() == ref_grad.tolist()
+
+    @given(ys=st.tuples(Y, Y, Y, Y), steps=st.tuples(T_STEP, T_STEP))
+    @settings(max_examples=300, deadline=None)
+    def test_sup_r_grad_equals_the_array_form(self, ys, steps):
+        t = [floor_t(*ys[2 * k : 2 * k + 2]) + step for k, step in enumerate(steps)]
+        self.assert_grad_equal(list(ys) + t)
+
+    E = float(np.exp(-0.6))  # e^{-2t} at t = 0.3, rounded as numpy rounds it
+    NAMED = {
+        # d1 + d2 = e + n: a = 0, so the stationarity equation is linear.
+        "a_zero": ((1.0 + E) / 2.0, (1.0 + E) / 2.0, 0.3),
+        # d1 = n: the discriminant is 0, and -6.6e-17 after roundoff.
+        "negative_discriminant": (1.0, 0.89, 0.1),
+        # y at SLSQP's bound and t = 400: the ratio overflows, e^{-2t} underflows.
+        "y_bound_t_400": (1e-300, 1e-300, 400.0),
+        # d1 = n, d2 = n e^{-2t}: r(s) = t for every s, so s = 0 ties with the limit.
+        "tie": (1.0, float(np.exp(-0.7)), 0.35),
+        # math.log would round the maximising r differently, at s = 0 and at a root.
+        "math_log_at_zero": (0.675, 0.806, 0.197),
+        "math_log_at_root": (0.092, 0.696, 2.193),
+    }
+
+    @pytest.mark.parametrize("name", NAMED)
+    def test_named_points_equal_the_array_form(self, name):
+        d1, d2, t = self.NAMED[name]
+        e = float(np.exp(-2.0 * t))
+        a, b = (d1 + d2) - (e + 1.0), 2.0 * (d1 * d2 - e)
+        c = (e + 1.0) * d1 * d2 - e * (d1 + d2)
+        s, r = numpy_sup_sigma_z(1.0, d1, d2, t)
+        if name == "a_zero":
+            assert a == 0.0 and b != 0.0
+        elif name == "negative_discriminant":
+            assert b * b - 4.0 * a * c < 0.0
+        elif name == "tie":
+            assert s == 0.0 and abs(r - t) <= 1e-15
+        elif name.startswith("math_log"):
+            ratio = (1.0 + s) / ((d1 + s) * (d2 + s))
+            assert t + 0.5 * math.log(ratio) + 0.5 * math.log(e + s) != r
+        # The other encoder at an interior point of its box.
+        self.assert_grad_equal([d1, d2, 0.5, 0.7, t, 0.4])
+        self.assert_grad_equal([0.5, 0.7, d1, d2, 0.4, t])
+        assert sup_sigma_z(1.0, d1, d2, t) == (s, r)
+
+    @given(log_n=st.floats(-3.0, 3.0), ys=st.tuples(Y, Y), step=T_STEP)
+    @example(log_n=0.0, ys=(1.0, 1.0), step=math.inf)
+    @settings(max_examples=300, deadline=None)
+    def test_sup_sigma_z_equals_the_array_form(self, log_n, ys, step):
+        n = 10.0**log_n
+        d1, d2 = n * ys[0], n * ys[1]
+        assume(d1 > 0.0 and d2 > 0.0)
+        t = floor_t(d1 / n, d2 / n) + step
+        assume(vceo.bound.in_F_k(n, d1, d2, t))
+        assert sup_sigma_z(n, d1, d2, t) == numpy_sup_sigma_z(n, d1, d2, t)
 
 
 class TestClassifyFk:

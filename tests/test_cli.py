@@ -609,6 +609,20 @@ class TestCliPlumbing:
         )
         self._assert_help(proc)
 
+    def test_calls_in_one_process_print_what_fresh_processes_print(self, canonical, capsys):
+        # main builds its parser once per process; each later call reuses it.
+        for argv in (
+            ["verify", "--instance", canonical, "--bits", "--output", "json"],
+            ["verify", "--instance", canonical, "--output", "json"],
+            ["lower-bound", "--instance", canonical, "--grid", "16", "--output", "json"],
+        ):
+            code = main(argv)
+            out = capsys.readouterr().out
+            proc = subprocess.run(
+                [sys.executable, "-m", "vceo", *argv], capture_output=True, text=True, env=child_env()
+            )
+            assert (code, out) == (proc.returncode, proc.stdout)
+
     def test_console_script_entry_point(self):
         tomllib = pytest.importorskip("tomllib")
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
