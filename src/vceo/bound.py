@@ -23,7 +23,7 @@ reduces to a quadratic stationarity condition; s -> inf contributes the exact
 limit value t as a closed-form candidate.  The objective is convex in p and
 F is convex, and ``project_to_P`` maps F onto P without raising the
 objective, so the outer inf is one convex program over F: SLSQP in the
-scale-free coordinates (d/n, t), from the best point of a refined grid scan.
+scale-free coordinates (d/n, t), from one closed-form point of F.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import functools
 import math
 from dataclasses import astuple, dataclass
 from enum import Enum
+from fractions import Fraction
 
 import numpy as np
 import scipy.optimize
@@ -63,9 +64,8 @@ __all__ = [
 EQUALITY_RTOL = 1e-9
 #: Relative slack admitted on the box inequalities.
 BOX_RTOL = 1e-12
-#: Fewest grid points per axis: two scan only the box corners.
+#: Smallest and default ``grid`` that ``lower_bound`` accepts; no scan uses it.
 MIN_GRID = 3
-#: Grid points per axis of ``lower_bound``'s starting scan unless one is given.
 DEFAULT_GRID = 64
 
 
@@ -118,10 +118,10 @@ def condition_holds(model: SourceModel, targets: DistortionTriple) -> bool:
 
 
 def _r(n, d1, d2, t, s):
-    """r(d1, d2, t, s), elementwise on arrays; callers silence numpy's warnings.
-    Finite apart from the limits d + s = 0 and t = inf: a log whose argument
-    leaves the float range (s = 0 with d1, d2 near 0, or t large) is taken term
-    by term."""
+    """r(d1, d2, t, s) in numpy arithmetic, elementwise on arrays; callers
+    silence numpy's warnings.  Finite apart from the limits d + s = 0 and
+    t = inf: a log whose argument leaves the float range (s = 0 with d1, d2
+    near 0, or t large) is taken term by term."""
     log_ratio = np.log((n + s) / ((d1 + s) * (d2 + s)))
     log_floor = np.log(n * np.exp(-2.0 * t) + s)
     r = t + 0.5 * log_ratio + 0.5 * log_floor
@@ -148,9 +148,9 @@ def r_fn(sigma_n2: float, d1: float, d2: float, t: float, sigma_z2: float) -> fl
     r(d1, d2, t, s) = t + (1/2) log[(n + s) / ((d1 + s)(d2 + s))]
                         + (1/2) log(n e^{-2t} + s)
 
-    in nats, from the array form ``_r``.  ``sigma_z2 = inf`` returns the exact
-    limit t.  At ``t = inf`` the limit is exact too: t cancels at s = 0,
-    leaving (1/2) log(n^2 / (d1 d2)), and r = inf for every s > 0.
+    in nats, from ``_r``.  ``sigma_z2 = inf`` returns the exact limit t.  At
+    ``t = inf`` the limit is exact too: t cancels at s = 0, leaving
+    (1/2) log(n^2 / (d1 d2)), and r = inf for every s > 0.
     """
     _require_in_box(sigma_n2, d1, d2, t)
     if not sigma_z2 >= 0.0:
@@ -163,55 +163,18 @@ def r_fn(sigma_n2: float, d1: float, d2: float, t: float, sigma_z2: float) -> fl
         return float(_r(np.float64(sigma_n2), d1, d2, t, sigma_z2))
 
 
-def _sup_candidates(n: float, d1, d2, t) -> tuple[list, list]:
-    """Candidate maximizers of r over s >= 0 and their values, elementwise.
-
-    Returns (s, r) lists over four candidates: s = 0, the two roots of the
-    stationarity quadratic a s^2 + b s + c = 0 (the linear root twice when
-    a = 0), and the s -> inf limit with its exact value t.  A root that is
-    not real, positive and finite carries r = -inf.  At t = inf every s > 0
-    gives r = inf, which the limit candidate alone represents.  The grid scan
-    uses this array form; ``_sup_points`` repeats it in floats at single points.
-    """
-    d1, d2, t = np.asarray(d1), np.asarray(d2), np.asarray(t)
-    e = n * np.exp(-2.0 * t)
-    a = (d1 + d2) - (e + n)
-    b = 2.0 * (d1 * d2 - e * n)
-    c = (e + n) * d1 * d2 - e * n * (d1 + d2)
-    finite_t = np.isfinite(t)
-    s_vals, r_vals = [0.0], []
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        r_vals.append(np.where(finite_t, _r(n, d1, d2, t, 0.0), -np.inf))
-        disc = b * b - 4.0 * a * c
-        sq = np.sqrt(np.maximum(disc, 0.0))
-        quadratic, linear = np.abs(a) > 0.0, np.abs(b) > 0.0
-        two_a = np.where(quadratic, 2.0 * a, 1.0)
-        linear_root = np.where(linear, -c / np.where(linear, b, 1.0), -1.0)
-        for sgn in (1.0, -1.0):
-            root = np.where(quadratic, (-b + sgn * sq) / two_a, linear_root)
-            ok = (disc >= 0.0) & (root > 0.0) & np.isfinite(root) & finite_t
-            s_vals.append(root)
-            # The scan often has a root that is valid nowhere: r is then not evaluated.
-            r = _r(n, d1, d2, t, np.where(ok, root, 1.0)) if ok.any() else -np.inf
-            r_vals.append(np.where(ok, r, -np.inf))
-    s_vals.append(math.inf)
-    r_vals.append(t)
-    return s_vals, r_vals
-
-
-def _sup_r_vec(n: float, d1: np.ndarray, d2: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Vectorised sup over s >= 0 of r: the largest candidate value."""
-    return functools.reduce(np.maximum, _sup_candidates(n, d1, d2, t)[1])
-
-
 def _sup_points(n: float, points) -> list[tuple[list, list, float]]:
-    """``_sup_candidates`` at each point (d1, d2, t) of floats, bit for bit in
-    plain floats: per point its s and r lists, and e = n e^{-2t}.
+    """Candidate maximisers of r over s >= 0 and their values at each point
+    (d1, d2, t) of floats: per point its s and r lists, and e = n e^{-2t}.
 
-    Float arithmetic rounds as numpy's does, but ``math.exp`` and ``math.log``
-    can differ from numpy's in the last bit, so the exponentials take one
-    ``np.exp`` call on a list, and the logs one ``np.log`` call.  A candidate
-    with a log argument that is not positive and finite, as where
+    The four candidates are s = 0, the two roots of the stationarity quadratic
+    a s^2 + b s + c = 0 (the linear root twice when a = 0), and the s -> inf
+    limit with its exact value t.  A root that is not real, positive and finite
+    carries r = -inf.  At t = inf every s > 0 gives r = inf, which the limit
+    candidate alone represents.  ``math.exp`` and ``math.log`` can differ from
+    numpy's in the last bit, so the exponentials take one ``np.exp`` call on a
+    list, and the logs one ``np.log`` call, as the array form in the tests does.
+    A candidate with a log argument that is not positive and finite, as where
     (d1 + s)(d2 + s) underflows, takes r from ``_r``, which splits the logs.
     """
     out, logged = [], []  # logged: (point, candidate, ratio, floor) for np.log
@@ -295,12 +258,16 @@ def project_to_P(model: SourceModel, targets: DistortionTriple, p: BoundParams) 
     the equalities; lower t_1 to central equality, then t_2 likewise, each
     kept at or above its box floor.  The slack is signed, so a receiver that an
     input inside F's tolerance misses by roundoff is met again by lowering d_1l,
-    and t rises only to its box floor; otherwise d components never decrease,
-    t components never increase, and points already critical return unchanged.
+    and t rises only to its box floor.  A receiver still missed in exact
+    arithmetic after these float steps lowers d_1l by its exact shortfall,
+    rounded toward 0, so the output meets both receivers exactly.  Otherwise d
+    components never decrease, t components never increase, and points already
+    critical return unchanged.
     """
     if not in_F(model, targets, p):
         raise DomainError("projection input must lie in the admissible set F")
     s2, n1, n2 = model.sigma_s2, model.sigma_n1_2, model.sigma_n2_2
+    exact = [Fraction(v) for v in (s2, n1, n2)]
     d = [p.d11, p.d12, p.d21, p.d22]  # d_kl at index 2(k - 1) + (l - 1)
     for l, target in enumerate((targets.d1, targets.d2)):
         slack = receiver_precision(s2, n1, n2, d[l], d[l + 2]) - 1.0 / target
@@ -309,6 +276,11 @@ def project_to_P(model: SourceModel, targets: DistortionTriple, p: BoundParams) 
         # Past n2 only by roundoff, which grows with n2/n1; the final in_P check
         # rejects a clamped point that misses the equality.
         d[l + 2] = min(d[l + 2] + max(slack, 0.0) * n2**2, n2)
+        precision = receiver_precision(*exact, Fraction(d[l]), Fraction(d[l + 2]))
+        if precision < 1 / Fraction(target):
+            lowered = Fraction(d[l]) - (1 / Fraction(target) - precision) * exact[1] ** 2
+            below = float(lowered)
+            d[l] = max(0.0, below if below <= lowered else math.nextafter(below, 0.0))
 
     # Lower each t_k toward central equality, stopping at its box floor; t_2
     # only while the central constraint is still slack.
@@ -330,33 +302,6 @@ def project_to_P(model: SourceModel, targets: DistortionTriple, p: BoundParams) 
             "the admissible set within tolerance"
         )
     return out
-
-
-def _grid_search(evaluate, box, n_pts: int, refine: int):
-    """Grid minimum of ``evaluate`` over an N-axis box, refined.
-
-    ``evaluate(*axes)`` returns the objective on the outer product of the
-    axes (inf where infeasible).  Each of the ``refine`` extra passes shrinks
-    the window 8x around the incumbent; ties go to the first grid point in
-    C order.  Returns (inf, None) when no grid point is feasible.
-    """
-    best, best_at = math.inf, None
-    axes = [np.linspace(lo, hi, n_pts) for lo, hi in box]
-    span = [hi - lo for lo, hi in box]
-    for _ in range(refine + 1):
-        obj = evaluate(*axes)
-        at = np.unravel_index(int(np.argmin(obj)), obj.shape)
-        if obj[at] < best:
-            best = float(obj[at])
-            best_at = tuple(float(axis[i]) for axis, i in zip(axes, at))
-        if best_at is None:
-            return best, best_at
-        span = [sp / 8.0 for sp in span]
-        axes = [
-            np.linspace(max(lo, c - sp / 2), min(hi, c + sp / 2), n_pts)
-            for (lo, hi), c, sp in zip(box, best_at, span)
-        ]
-    return best, best_at
 
 
 def _sup_r_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -404,63 +349,51 @@ def lower_bound(
     The objective sup_s r_1 + sup_s r_2 is convex in p, and so is the
     admissible set F, whose infimum equals the one over P (``project_to_P``
     maps F onto P without raising the objective).  SLSQP minimises it over F
-    in the scale-free coordinates (d/n, t), from the best point of a
-    ``grid`` x ``grid`` scan over (d_11, d_12) with ``refine`` passes that
-    shrink the window 8x around the incumbent; the scan puts d_21, d_22 on the
-    receiver equalities and e^{-2t} on the box floor, scaled down by one
-    common factor until the central constraint holds.  The solver's point is
-    projected onto P, and ``in_P`` names the branch.  After a status-4 exit or a
-    point that does not project, SLSQP reruns once from the start with
-    y <= 1 - 1e-3; there is no search.
+    in the scale-free coordinates (d/n, t), from one closed-form point: (d_11,
+    d_12) at the middle of their range over P, d_21, d_22 on the receiver
+    equalities, and e^{-2t} on the box floor, scaled down by one common factor
+    until the central constraint holds.  On a convex program the start changes
+    only the solver's path.  The solver's point is projected onto P, and
+    ``in_P`` names the branch.  Unless SLSQP exits with status 0 on a point
+    already in P, it reruns once: from the projected point if there is one,
+    else from the start with y <= 1 - 1e-3; the lower projected point is the
+    argmin.  There is no search.
 
-    Raises what ``require_valid_targets`` raises; InfeasibleTargetsError naming
-    d0 when the scan finds the critical manifold empty, or when neither run
-    ends on a point that projects; and InvalidParamsError unless ``grid`` is an
-    integer >= MIN_GRID (two points per axis scan only the box corners and miss
-    a manifold that is not empty) and ``refine`` an integer >= 0.
+    ``grid`` and ``refine`` are accepted and validated but unused; they sized a
+    starting scan that the closed-form start replaces.  Raises what
+    ``require_valid_targets`` raises; InfeasibleTargetsError naming d0 when
+    neither run ends on a point that projects; and InvalidParamsError unless
+    ``grid`` is an integer >= MIN_GRID and ``refine`` an integer >= 0.
     """
-    grid = require_int("grid", grid, MIN_GRID)
-    refine = require_int("refine", refine, 0)
+    require_int("grid", grid, MIN_GRID)
+    require_int("refine", refine, 0)
     require_valid_targets(model, targets)
     s2, n1, n2 = model.sigma_s2, model.sigma_n1_2, model.sigma_n2_2
     # Precision each receiver must gain over the prior: (1 - d_1l/n_1)/n_1
     # + (1 - d_2l/n_2)/n_2 >= q_l, and likewise with e^{-2t} for the central one.
-    q = np.array([1.0 / targets.d1, 1.0 / targets.d2, 1.0 / targets.d0]) - 1.0 / s2
+    q = [1.0 / d - 1.0 / s2 for d in (targets.d1, targets.d2, targets.d0)]
     const = 0.5 * math.log(s2 * s2 / (targets.d1 * targets.d2))
 
     def lift_t(y11, y12, y21, y22, u1=1.0, u2=1.0):
         """(t_1, t_2) from e^{-2t} = u, with u capped at the box floors min(y)
         and then scaled down by one common factor until the central constraint holds."""
-        u1, u2 = np.minimum(u1, np.minimum(y11, y12)), np.minimum(u2, np.minimum(y21, y22))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scale = np.minimum(1.0, (1.0 / n1 + 1.0 / n2 - q[2]) / (u1 / n1 + u2 / n2))
-            return -0.5 * np.log(scale * u1), -0.5 * np.log(scale * u2)
+        u = min(u1, y11, y12), min(u2, y21, y22)
+        room, need = 1.0 / n1 + 1.0 / n2 - q[2], u[0] / n1 + u[1] / n2
+        scale = room / need if need > room else 1.0
+        return tuple(-0.5 * math.log(scale * uk) if scale * uk > 0.0 else math.inf for uk in u)
 
-    def complete(y11, y12):
-        """The scan's point at (y_11, y_12): d_21, d_22 on the receiver equalities."""
-        y21 = np.clip(1.0 - n2 * (q[0] - (1.0 - y11) / n1), 0.0, 1.0)
-        y22 = np.clip(1.0 - n2 * (q[1] - (1.0 - y12) / n1), 0.0, 1.0)
-        return (y21, y22) + lift_t(y11, y12, y21, y22)
-
-    def scan(ys1: np.ndarray, ys2: np.ndarray) -> np.ndarray:
-        y11, y12 = ys1[:, None], ys2[None, :]
-        y21, y22, t1, t2 = complete(y11, y12)
-        with np.errstate(invalid="ignore"):
-            obj = _sup_r_vec(1.0, y11, y12, t1) + _sup_r_vec(1.0, y21, y22, t2)
-        return np.where(np.isfinite(obj), obj, np.inf)
-
-    box = [(max(0.0, 1.0 - n1 * need), min(1.0, 1.0 - n1 * need + n1 / n2)) for need in q[:2]]
-    best, best_at = _grid_search(scan, box, grid, refine)
-    if not math.isfinite(best):
-        raise InfeasibleTargetsError(
-            "the critical manifold is empty for these targets", constraint="d0"
-        )
-    x0 = np.array(best_at + tuple(float(v) for v in complete(*best_at)))
+    # The start: y_1l at the middle of the range where receiver l's equality
+    # holds with y_2l in [0, 1], and y_2l on that equality.  d0 above the
+    # remote-MMSE floor makes the room for the central gain positive, so
+    # lift_t puts the start in F.
+    y11, y12 = (0.5 * (max(0.0, 1.0 - n1 * g) + min(1.0, 1.0 - n1 * g + n1 / n2)) for g in q[:2])
+    y21, y22 = (min(max(1.0 - n2 * (g - (1.0 - y) / n1), 0.0), 1.0) for g, y in zip(q, (y11, y12)))
+    x0 = np.array([y11, y12, y21, y22, *lift_t(y11, y12, y21, y22)])
 
     # Constraints >= 0, each scaled to O(1): the receiver gains over their
     # targets (linear), the box floors log y + 2t, and the central gain.  A
     # target that rounds to 1/d = 1/sigma_s2 needs no gain, and y <= 1 meets it.
-    needs_gain = q[:2] > 0.0
+    needs_gain = np.array(q[:2]) > 0.0
     gain = np.array([[1.0 / n1, 0.0, 1.0 / n2, 0.0], [0.0, 1.0 / n1, 0.0, 1.0 / n2]])
     gain /= np.where(needs_gain, q[:2], 1.0)[:, None]
     gain0 = np.array([1.0 / n1, 1.0 / n2]) / q[2]
@@ -484,10 +417,11 @@ def lower_bound(
 
     constraints = {"type": "ineq", "fun": con_fun, "jac": con_jac}
 
-    def solved(start: np.ndarray) -> BoundParams | None:
+    def solved(start: np.ndarray) -> tuple[bool, BoundParams | None]:
         """SLSQP's point from start, y clipped into [0, 1] and t lifted onto F, then
-        projected onto P; None when it does not project or SLSQP exits with status 4
-        ("inequality constraints incompatible"), which leaves it on its start."""
+        projected onto P, and whether SLSQP converged (status 0) on a point already
+        in P.  The point is None when it does not project or SLSQP exits with status
+        4 ("inequality constraints incompatible"), which leaves it on its start."""
         # y stays off 0, where log y is -inf; the box floor keeps the minimiser above it anyway.
         result = scipy.optimize.minimize(
             _sup_r_grad,
@@ -499,22 +433,36 @@ def lower_bound(
             options={"maxiter": 200, "ftol": 1e-15},
         )
         if result.status == 4:
-            return None
-        y = np.clip(result.x[:4], 0.0, 1.0)
+            return False, None
+        y = np.clip(result.x[:4], 0.0, 1.0).tolist()
+        u = np.exp(-2.0 * result.x[4:]).tolist()
         try:
-            p = BoundParams(*(n1 * y[:2]), *(n2 * y[2:]), *lift_t(*y, *np.exp(-2.0 * result.x[4:])))
-            return project_to_P(model, targets, p)
+            p = BoundParams(n1 * y[0], n1 * y[1], n2 * y[2], n2 * y[3], *lift_t(*y, *u))
+            settled = result.status == 0 and in_P(model, targets, p) is not None
+            return settled, project_to_P(model, targets, p)
         except (DomainError, InvalidParamsError):
-            return None
+            return False, None
 
-    argmin = solved(x0)
-    if argmin is None:
-        argmin = solved(np.r_[np.minimum(x0[:4], 1.0 - 1e-3), x0[4:]])
+    def sup_terms(p: BoundParams) -> list[tuple[float, float]]:
+        """Each encoder's (argmax, value) of its sup over the channel variance at p."""
+        return [sup_sigma_z(model.noise_var(k), *p.encoder(k)) for k in (1, 2)]
+
+    settled, argmin = solved(x0)
+    if not settled:
+        # Projecting the point of an unconverged run can raise the value, and a
+        # run can stop short of the minimum where the objective is flat in t, so
+        # the rerun starts from the projected point when there is one.
+        if argmin is None:
+            start = np.r_[np.minimum(x0[:4], 1.0 - 1e-3), x0[4:]]
+        else:
+            start = np.array(astuple(argmin)) / [n1, n1, n2, n2, 1.0, 1.0]
+        found = [p for p in (argmin, solved(start)[1]) if p is not None]
+        argmin = min(found, key=lambda p: sum(v for _, v in sup_terms(p)), default=None)
     if argmin is None:
         raise InfeasibleTargetsError(
             "neither SLSQP run ends on a point that projects onto the critical manifold",
             constraint="d0",
         )
+    (sz1, v1), (sz2, v2) = sup_terms(argmin)
     branch = in_P(model, targets, argmin)
-    (sz1, v1), (sz2, v2) = (sup_sigma_z(model.noise_var(k), *argmin.encoder(k)) for k in (1, 2))
     return LowerBoundResult(value=v1 + v2 + const, argmin=argmin, branch=branch, sigma_z=(sz1, sz2))

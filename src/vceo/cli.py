@@ -18,9 +18,9 @@ Instance schema (all numbers are decimal doubles)::
 
 The ``options`` section is optional and CLI flags override it.  Each option
 has one range, in the file and as a flag: ``tol`` finite and >= 0, ``starts``
-an integer >= 1, ``grid`` an integer >= 3, ``seed`` an integer in
-[0, 2**128) for every command, ``unit`` "nats" or "bits".  Booleans are not
-numbers (the library types also take numpy scalars).  All internal
+an integer >= 1, ``grid`` an integer >= 3 (accepted and unused), ``seed`` an
+integer in [0, 2**128) for every command, ``unit`` "nats" or "bits".  Booleans
+are not numbers (the library types also take numpy scalars).  All internal
 values are nats; ``--bits`` only converts at render time.  Exit codes: 0 ok,
 1 parse error, 2 infeasible targets (one outside (Var(S | X1, X2), sigma_s2),
 on every command but ``sweep``), 3 verification failure, 4 outside the condition.
@@ -75,7 +75,8 @@ LN2 = math.log(2.0)
 @dataclass(frozen=True)
 class Options:
     """Solver options of an instance file, overridden by flags; ``starts``,
-    ``tol`` and ``seed`` take their defaults and checks from ``OptimizeOptions``."""
+    ``tol`` and ``seed`` take their defaults and checks from ``OptimizeOptions``.
+    ``grid`` is checked and unused: the bound no longer scans."""
 
     tol: float = OptimizeOptions.tol
     starts: int = OptimizeOptions.starts
@@ -202,10 +203,9 @@ def _achievable(
     """The achievable scheme of ``sum-rate``, ``sweep``, ``mc-check`` and ``verify``.
 
     Inside the distortion condition it is the matching construction ``report``,
-    built at the argmin of ``lb`` (a bound at ``opts.grid`` when no bound is
-    given).  The construction is returned as is when it meets the targets,
-    since the bound says no scheme does better, and seeds the optimizer
-    otherwise.  If the bound or the construction fails, and outside the
+    built at the argmin of ``lb`` (a fresh bound when none is given).  The
+    construction is returned as is when it meets the targets, since the bound
+    says no scheme does better, and seeds the optimizer otherwise.  If the bound or the construction fails, and outside the
     condition, the optimizer runs its multistart unseeded.
     """
     warm_start = None
@@ -213,7 +213,7 @@ def _achievable(
         try:
             if report is None:
                 if lb is None:
-                    lb = _bound.lower_bound(model, targets, grid=opts.grid)
+                    lb = _bound.lower_bound(model, targets)
                 report = _equivalence.construct_matching_scheme(model, targets, lb.argmin)
             if _scheme._is_feasible(model, targets, report.params):
                 breakdown = _scheme.sum_rate(model, report.params)
@@ -250,7 +250,7 @@ def cmd_sum_rate(spec: InstanceSpec, opts: Options, fmt: str, out) -> int:
 
 def cmd_lower_bound(spec: InstanceSpec, opts: Options, fmt: str, out) -> int:
     cond = _bound.condition_holds(spec.model, spec.targets)
-    result = _bound.lower_bound(spec.model, spec.targets, grid=opts.grid)
+    result = _bound.lower_bound(spec.model, spec.targets)
     doc = {
         "command": "lower-bound",
         "unit": opts.unit,
@@ -279,7 +279,7 @@ def cmd_verify(spec: InstanceSpec, opts: Options, fmt: str, out, identity_tol: f
             out,
         )
         return EXIT_OUTSIDE_CONDITION
-    lb = _bound.lower_bound(spec.model, spec.targets, grid=opts.grid)
+    lb = _bound.lower_bound(spec.model, spec.targets)
     report = _equivalence.construct_matching_scheme(spec.model, spec.targets, lb.argmin)
     ach = _achievable(spec.model, spec.targets, opts, lb, report)
     rel_gap = abs(ach.breakdown.sum_rate - lb.value) / max(lb.value, 1e-300)
@@ -326,7 +326,7 @@ def cmd_sweep(
             model = SourceModel(fields["sigma_s2"], fields["sigma_n1_2"], fields["sigma_n2_2"])
             targets = DistortionTriple(fields["d1"], fields["d2"], fields["d0"])
             cond = targets.valid_for(model) and _bound.condition_holds(model, targets)
-            lb_res = _bound.lower_bound(model, targets, grid=opts.grid)
+            lb_res = _bound.lower_bound(model, targets)
             ach_res = _achievable(model, targets, opts, lb_res)
             ach, lb = ach_res.breakdown.sum_rate, lb_res.value
             gap = ach - lb
@@ -379,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
         tol_help = "optimizer tol, unused by lower-bound; for verify, identity tol (default 1e-9)"
         p.add_argument("--tol", type=float, default=None, help=tol_help)
         p.add_argument("--starts", type=int, default=None, help="multistart count")
-        p.add_argument("--grid", type=int, default=None, help="bound's starting-scan points per axis")
+        p.add_argument("--grid", type=int, default=None, help="accepted (>= 3) and unused")
         p.add_argument("--seed", type=int, default=None, help="random seed")
         p.add_argument("--bits", action="store_true", help="render rates in bits")
         p.add_argument(

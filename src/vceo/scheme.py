@@ -251,10 +251,10 @@ def receiver_precision(s2, n1, n2, d1l, d2l):
     """1/delta_l = 1/sigma_s2 + 1/n_1 + 1/n_2 - d'_1l/n_1^2 - d'_2l/n_2^2.
 
     The precision of S given the two descriptions U_1l, U_2l, from their
-    marginal variances d'_kl; elementwise on arrays.  d' = 0 (exact
-    observations) gives 1/full_mmse.
+    marginal variances d'_kl; elementwise on arrays, and exact on Fractions.
+    d' = 0 (exact observations) gives 1/full_mmse.
     """
-    return 1.0 / s2 + 1.0 / n1 + 1.0 / n2 - d1l / n1**2 - d2l / n2**2
+    return 1 / s2 + 1 / n1 + 1 / n2 - d1l / n1**2 - d2l / n2**2
 
 
 def central_precision(s2, n1, n2, u1, u2):

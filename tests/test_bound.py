@@ -1,7 +1,11 @@
 """Converse machinery: bound function, classification, projection, lower bound."""
 
+import functools
+import json
 import math
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +35,7 @@ from vceo import (
     sup_sigma_z,
 )
 import vceo.bound
-from vceo.bound import _r, _sup_candidates, _sup_r_grad, _sup_r_vec, in_F
+from vceo.bound import _r, _sup_r_grad, in_F
 from vceo.scheme import FLOOR_MARGIN
 
 from conftest import (
@@ -44,6 +48,7 @@ from conftest import (
 
 UNIT = SourceModel(1.0, 1.0, 1.0)
 CANONICAL = DistortionTriple(0.4, 0.4, 0.35)
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 # Values of the earlier search (3 x 64^3 grid plus a simplex polish per branch)
 # on the named benchmark instances: (model, targets, value).  That search
@@ -58,11 +63,44 @@ GRID_SEARCH_VALUES = [
 ]
 
 
+def numpy_sup_candidates(n: float, d1, d2, t) -> tuple[list, list]:
+    """The array form of ``vceo.bound._sup_points``, its bit reference: the
+    candidate maximisers of r over s >= 0 and their values, elementwise.
+
+    Returns (s, r) lists over four candidates: s = 0, the two roots of the
+    stationarity quadratic a s^2 + b s + c = 0 (the linear root twice when
+    a = 0), and the s -> inf limit with its exact value t.  A root that is
+    not real, positive and finite carries r = -inf.
+    """
+    d1, d2, t = np.asarray(d1), np.asarray(d2), np.asarray(t)
+    e = n * np.exp(-2.0 * t)
+    a = (d1 + d2) - (e + n)
+    b = 2.0 * (d1 * d2 - e * n)
+    c = (e + n) * d1 * d2 - e * n * (d1 + d2)
+    finite_t = np.isfinite(t)
+    s_vals, r_vals = [0.0], []
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        r_vals.append(np.where(finite_t, _r(n, d1, d2, t, 0.0), -np.inf))
+        disc = b * b - 4.0 * a * c
+        sq = np.sqrt(np.maximum(disc, 0.0))
+        quadratic, linear = np.abs(a) > 0.0, np.abs(b) > 0.0
+        two_a = np.where(quadratic, 2.0 * a, 1.0)
+        linear_root = np.where(linear, -c / np.where(linear, b, 1.0), -1.0)
+        for sgn in (1.0, -1.0):
+            root = np.where(quadratic, (-b + sgn * sq) / two_a, linear_root)
+            ok = (disc >= 0.0) & (root > 0.0) & np.isfinite(root) & finite_t
+            s_vals.append(root)
+            r_vals.append(np.where(ok, _r(n, d1, d2, t, np.where(ok, root, 1.0)), -np.inf))
+    s_vals.append(math.inf)
+    r_vals.append(t)
+    return s_vals, r_vals
+
+
 def numpy_sup_r_grad(x):
     """The array form of ``_sup_r_grad``: both encoders as one elementwise call
-    of ``_sup_candidates`` at n = 1, the maximiser by ``np.argmax``."""
+    of ``numpy_sup_candidates`` at n = 1, the maximiser by ``np.argmax``."""
     y1, y2, t = x[[0, 2]], x[[1, 3]], x[4:]
-    s_vals, r_vals = _sup_candidates(1.0, y1, y2, t)
+    s_vals, r_vals = numpy_sup_candidates(1.0, y1, y2, t)
     r = np.array(r_vals)
     k = np.argmax(r, axis=0)
     sigma = np.choose(k, s_vals)
@@ -76,13 +114,35 @@ def numpy_sup_r_grad(x):
 
 
 def numpy_sup_sigma_z(n, d1, d2, t):
-    """``sup_sigma_z`` from the array form ``_sup_candidates`` on 0-d input."""
-    s_vals, r_vals = _sup_candidates(n, d1, d2, t)
+    """``sup_sigma_z`` from the array form ``numpy_sup_candidates`` on 0-d input."""
+    s_vals, r_vals = numpy_sup_candidates(n, d1, d2, t)
     best_s, best_val = math.nan, -math.inf
     for s, val in sorted((float(s), float(r)) for s, r in zip(s_vals, r_vals) if r > -math.inf):
         if val > best_val + 1e-15:
             best_s, best_val = s, val
     return best_s, best_val
+
+
+def pool_and_draws(n_draws=40, seed=3):
+    """(name, model, targets) of the 78 benchmark pool instances, then of random
+    draws: variances 10**U(-2, 2), d1 and d2 log-uniform on [1.001 floor,
+    0.999 sigma_s2], d0 log-uniform on [1.0005 floor, 0.9999 min(d1, d2)]."""
+    pools = json.loads(REFERENCE.read_text())
+    for pool in ("outside_regime", "certify"):
+        for entry in pools[pool]:
+            model = SourceModel(**entry["model"])
+            yield f"{pool}/{entry['name']}", model, DistortionTriple(**entry["targets"])
+    gen = random.Random(seed)
+
+    def log_uniform(lo, hi):
+        return math.exp(gen.uniform(math.log(lo), math.log(hi)))
+
+    for i in range(n_draws):
+        model = SourceModel(*(10.0 ** gen.uniform(-2.0, 2.0) for _ in range(3)))
+        floor = full_mmse(model)
+        d1, d2 = (log_uniform(1.001 * floor, 0.999 * model.sigma_s2) for _ in range(2))
+        d0 = log_uniform(1.0005 * floor, 0.9999 * min(d1, d2))
+        yield f"draw_{i}", model, DistortionTriple(d1, d2, d0)
 
 
 def random_F_k_triple(rng, sigma_n2):
@@ -201,9 +261,12 @@ class TestSupSigmaZ:
         assert r_fn(n, d1, d2, math.inf, 0.3) == math.inf
         assert r_fn(n, 0.0, d2, math.inf, 0.0) == math.inf
         assert sup_sigma_z(n, d1, d2, math.inf) == (math.inf, math.inf)
-        grid = _sup_r_vec(n, np.array([d1, 0.3]), np.array([d2, 0.9]), np.array([math.inf, 0.7]))
-        assert grid[0] == math.inf
-        assert grid[1] == pytest.approx(sup_sigma_z(n, 0.3, 0.9, 0.7)[1], abs=1e-14)
+        _, r_vals = numpy_sup_candidates(
+            n, np.array([d1, 0.3]), np.array([d2, 0.9]), np.array([math.inf, 0.7])
+        )
+        sup = functools.reduce(np.maximum, r_vals)
+        assert sup[0] == math.inf
+        assert sup[1] == pytest.approx(sup_sigma_z(n, 0.3, 0.9, 0.7)[1], abs=1e-14)
 
 
 # y over [1e-300, 1], uniform and log-uniform; t at the box floor plus a step.
@@ -216,7 +279,7 @@ def floor_t(y1, y2):
 
 
 class TestFloatForm:
-    """The plain-float sup equals the array form ``_sup_candidates`` bit for bit."""
+    """The plain-float sup equals the array form ``numpy_sup_candidates`` bit for bit."""
 
     @staticmethod
     def assert_grad_equal(x):
@@ -502,42 +565,61 @@ class TestLowerBound:
         assert in_P(model, targets, lb.argmin) is lb.branch
 
     def test_argmin_meets_the_receivers_in_exact_arithmetic(self):
-        # SLSQP meets its linear receiver constraints only to about 1e-10 at
-        # this ratio; project_to_P's signed slack puts the argmin back in F.
-        model, targets = SourceModel(1.0, 1e-4, 1e4), DistortionTriple(0.5, 0.5, 0.1)
-        p = lower_bound(model, targets).argmin
-        s2, n1, n2 = (Fraction(v) for v in (model.sigma_s2, model.sigma_n1_2, model.sigma_n2_2))
-        for d1l, d2l, target in ((p.d11, p.d21, targets.d1), (p.d12, p.d22, targets.d2)):
-            precision = 1 / s2 + 1 / n1 + 1 / n2 - Fraction(d1l) / n1**2 - Fraction(d2l) / n2**2
-            assert precision >= 1 / Fraction(target)
+        # SLSQP meets its linear receiver constraints only to roundoff, and the
+        # float steps of project_to_P leave a receiver short by up to about 1e-13
+        # relative; its exact step lowers d_1l so that the argmin lies in F exactly.
+        missed = []
+        for name, model, targets in pool_and_draws():
+            p = lower_bound(model, targets).argmin
+            s2, n1, n2 = (Fraction(v) for v in (model.sigma_s2, model.sigma_n1_2, model.sigma_n2_2))
+            for d1l, d2l, target in ((p.d11, p.d21, targets.d1), (p.d12, p.d22, targets.d2)):
+                precision = 1 / s2 + 1 / n1 + 1 / n2 - Fraction(d1l) / n1**2 - Fraction(d2l) / n2**2
+                if precision < 1 / Fraction(target):
+                    missed.append(name)
+        assert missed == []
+
+    def test_a_converged_run_off_the_old_scan_start_is_not_the_bound(self):
+        # From the best point of the former 64 x 64 scan, SLSQP exits with status 0
+        # at 0.9467347238924753, 8.1e-5 above the value from the closed-form start.
+        model = SourceModel(0.8417774225365846, 7.635475285983377, 26.705196364906485)
+        targets = DistortionTriple(0.7775930468689471, 0.8121848551796529, 0.7758896885450426)
+        lb = lower_bound(model, targets)
+        assert lb.value <= 0.9466581540514155 * (1.0 + 1e-9)
+        assert in_P(model, targets, lb.argmin) is lb.branch
 
     @pytest.mark.parametrize(
-        "status_4, rejected, projections",
-        [(0, 0, 1), (1, 0, 1), (0, 1, 2), (0, 2, 2), (2, 0, 0)],
-        ids=["none", "status 4", "first point", "both points", "both status 4"],
+        "status, failed, rejected, projections",
+        [(4, 0, 0, 1), (4, 1, 0, 1), (4, 0, 1, 2), (4, 0, 2, 2), (4, 2, 0, 0), (8, 1, 0, 2)],
+        ids=["none", "status 4", "first point", "both points", "both status 4", "status 8"],
     )
-    def test_a_failed_solve_reruns_slsqp_once(self, monkeypatch, status_4, rejected, projections):
-        # A status-4 exit, or a point that does not project, reruns SLSQP once;
-        # when the rerun fails too, the targets are reported infeasible.
+    def test_a_failed_solve_reruns_slsqp_once(
+        self, monkeypatch, status, failed, rejected, projections
+    ):
+        # The first `failed` runs exit with `status`, and the first `rejected`
+        # points do not project.  A status-4 exit is not projected.  A failed run
+        # or a point that does not project reruns SLSQP once, and the lower
+        # projected point wins; when neither run projects, the targets are
+        # reported infeasible.
         reference = lower_bound(UNIT, CANONICAL).value
         minimize, project = scipy.optimize.minimize, vceo.bound.project_to_P
-        results, points = [], []
+        results, points, projected = [], [], []
 
         def counted_minimize(*args, **kwargs):
             results.append(minimize(*args, **kwargs))
-            if len(results) <= status_4:
-                results[-1].status = 4
+            if len(results) <= failed:
+                results[-1].status = status
             return results[-1]
 
         def counted_project(model, targets, p):
             points.append(p)
             if len(points) <= rejected:
                 raise DomainError("rejected for the test")
-            return project(model, targets, p)
+            projected.append(project(model, targets, p))
+            return projected[-1]
 
         monkeypatch.setattr(scipy.optimize, "minimize", counted_minimize)
         monkeypatch.setattr(vceo.bound, "project_to_P", counted_project)
-        if status_4 + rejected == 2:
+        if status == 4 and failed + rejected == 2:
             with pytest.raises(InfeasibleTargetsError, match="neither SLSQP run") as info:
                 lower_bound(UNIT, CANONICAL)
             assert info.value.constraint == "d0"
@@ -545,7 +627,12 @@ class TestLowerBound:
             lb = lower_bound(UNIT, CANONICAL)
             assert in_P(UNIT, CANONICAL, lb.argmin) is lb.branch
             assert lb.value == pytest.approx(reference, rel=1e-9)
-        assert (len(results), len(points)) == (1 + (status_4 + rejected > 0), projections)
+            const = 0.5 * math.log(1.0 / (CANONICAL.d1 * CANONICAL.d2))
+            values = [
+                const + sum(sup_sigma_z(1.0, *p.encoder(k))[1] for k in (1, 2)) for p in projected
+            ]
+            assert lb.value == min(values)
+        assert (len(results), len(points)) == (1 + (failed + rejected > 0), projections)
 
     def test_status_4_start_is_not_the_argmin(self):
         # SLSQP stops on its start with status 4 here, and taking that start gave

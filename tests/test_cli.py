@@ -1,5 +1,6 @@
 """Instance parsing, the five commands, exit codes, and output formats."""
 
+import dataclasses
 import importlib
 import json
 import math
@@ -142,17 +143,18 @@ class TestSumRateCommand:
         assert main(["sum-rate", "--instance", path]) == EXIT_INFEASIBLE
         assert "d0" in capsys.readouterr().err
 
-    def test_seed_comes_from_a_bound_at_the_grid_flag(self, canonical, capsys, monkeypatch):
-        grids = []
+    def test_grid_flag_is_accepted_and_calls_the_bound_once(self, canonical, capsys, monkeypatch):
+        # The bound no longer scans, so --grid sizes nothing, but it stays accepted.
+        calls = []
         original = vceo.bound.lower_bound
 
         def recording(*args, **kwargs):
-            grids.append(kwargs.get("grid"))
+            calls.append(kwargs)
             return original(*args, **kwargs)
 
         monkeypatch.setattr(vceo.bound, "lower_bound", recording)
         assert main(["sum-rate", "--instance", canonical, "--grid", "16"]) == EXIT_OK
-        assert grids == [16]
+        assert len(calls) == 1
 
     def test_bits_flag_rescales(self, canonical, capsys):
         main(["sum-rate", "--instance", canonical, "--output", "json"])
@@ -259,9 +261,29 @@ class TestVerifyCommand:
         assert main(["verify", "--instance", path]) == EXIT_OUTSIDE_CONDITION
         assert "outside" in capsys.readouterr().out
 
-    def test_tampered_tolerance_fails(self, canonical, capsys):
+    @staticmethod
+    def identity_off_by(monkeypatch, ulps):
+        """The matching construction reports rhs = lhs moved up by ``ulps`` ulps."""
+        construct = vceo.equivalence.construct_matching_scheme
+
+        def moved(*args, **kwargs):
+            report = construct(*args, **kwargs)
+            rhs = report.lhs
+            for _ in range(ulps):
+                rhs = math.nextafter(rhs, math.inf)
+            return dataclasses.replace(report, rhs=rhs)
+
+        monkeypatch.setattr(vceo.equivalence, "construct_matching_scheme", moved)
+
+    def test_tampered_tolerance_fails(self, canonical, capsys, monkeypatch):
+        self.identity_off_by(monkeypatch, 3)
         assert main(["verify", "--instance", canonical, "--tol", "0"]) == EXIT_VERIFY_FAIL
         assert "FAIL" in capsys.readouterr().out
+
+    def test_bit_equal_identity_passes_at_zero_tolerance(self, canonical, capsys, monkeypatch):
+        self.identity_off_by(monkeypatch, 0)
+        assert main(["verify", "--instance", canonical, "--tol", "0"]) == EXIT_OK
+        assert "PASS" in capsys.readouterr().out
 
 
 class TestToleranceValidation:
