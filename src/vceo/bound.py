@@ -22,8 +22,9 @@ with r_k(d_1, d_2, t, s) = t + (1/2) log[(n_k + s) / ((d_1 + s)(d_2 + s))]
 reduces to a quadratic stationarity condition; s -> inf contributes the exact
 limit value t as a closed-form candidate.  The objective is convex in p and
 F is convex, and ``project_to_P`` maps F onto P without raising the
-objective, so the outer inf is one convex program over F: SLSQP in the
-scale-free coordinates (d/n, t), from one closed-form point of F.
+objective, so the outer inf is one convex program over F.  In the scale-free
+coordinates (d/n, e^{-2t}) every constraint of F is linear, and a plain-float
+SQP (``_minimise``) solves it from one closed-form point of F.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from enum import Enum
 from fractions import Fraction
 
 import numpy as np
-import scipy.optimize
 
 from .errors import DomainError, InfeasibleTargetsError, InvalidParamsError, require_int
 from .gaussmodel import SourceModel
@@ -304,28 +304,243 @@ def project_to_P(model: SourceModel, targets: DistortionTriple, p: BoundParams) 
     return out
 
 
-def _sup_r_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
-    """sup_s r_1 + sup_s r_2 at x = (y_11, y_12, y_21, y_22, t_1, t_2), with y = d/n,
-    and its Danskin gradient: the gradient of r at the maximising s.
+#: A step's coordinates: relative steps of (y_11, y_12, u_1, y_21, y_22, u_2), then tau_1, tau_2.
+_NV = 8
 
-    With sigma = s/n, r no longer depends on n, so both encoders are one
-    call of ``_sup_points`` at n = 1.  As under ``np.argmax``, the first
-    largest candidate is the maximiser.
-    """
-    y11, y12, y21, y22, t1, t2 = x.tolist()
-    points = ((y11, y12, t1), (y21, y22, t2))
-    value, grad_y, grad_t = 0.0, [], []
-    for (y1, y2, _), (s_vals, r_vals, e) in zip(points, _sup_points(1.0, points)):
-        k = max(range(4), key=r_vals.__getitem__)
-        s, value = s_vals[k], value + r_vals[k]
-        if not math.isfinite(s):  # the s -> inf limit, r = t
-            grad_y += [0.0, 0.0]
-            grad_t.append(1.0)
+
+def _piece(y1, y2, t, u, s, value, coupled=False):
+    """(value, gradient, Hessian) of r at one encoder point (y1, y2, t), n = 1, in the
+    relative step p = (dy1/y1, dy2/y2, du/u) at fixed s; ``coupled``, with s following
+    an interior local maximum (Hessian + r_ps r_ps' / -r_ss), or None if it is none."""
+    a1, a2, b = y1 / (y1 + s), y2 / (y2 + s), s / (u + s)
+    c1, c2, bu = s / (y1 + s), s / (y2 + s), u / (u + s)
+    hess = [[0.5 * a1 * a1, 0.0, 0.0], [0.0, 0.5 * a2 * a2, 0.0], [0.0, 0.0, 0.5 * b * (1.0 + bu)]]
+    if coupled:  # s^2 times -r_ss, and s p_i times r_{p_i s}
+        curv = 0.5 * ((s / (1.0 + s)) ** 2 + b * b - c1 * c1 - c2 * c2)
+        if not curv > 1e-12:
+            return None
+        mix = (0.5 * a1 * c1, 0.5 * a2 * c2, -0.5 * bu * b)
+        hess = [[h + m * mj / curv for h, mj in zip(row, mix)] for row, m in zip(hess, mix)]
+    return value, (-0.5 * a1, -0.5 * a2, -0.5 * b), hess
+
+
+def _pieces(y1, y2, t, sup):
+    """The smooth pieces of sup_s r at one encoder point (``sup``, its ``_sup_points``
+    entry) as ``_piece`` gives them, keyed by s: s = 0, the interior local maximum
+    ("root") and the limit t at s = inf.  Each is at most the sup; the largest equals it."""
+    s_vals, r_vals, u = sup
+    out = {0.0: (r_vals[0], (-0.5, -0.5, 0.0), [[0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0] * 3])}
+    for s, r in zip(s_vals[1:3], r_vals[1:3]):
+        if r > -math.inf and "root" not in out and (piece := _piece(y1, y2, t, u, s, r, True)):
+            out["root"] = piece
+    out[math.inf] = (t, (0.0, 0.0, -0.5), [[0.0] * 3, [0.0] * 3, [0.0, 0.0, 0.5]])
+    return out
+
+
+def _fixed(y1, y2, t, u, s):
+    """``_piece`` of r at the fixed channel variance s > 0."""
+    value = t + 0.5 * (math.log1p(s) - math.log(y1 + s) - math.log(y2 + s) + math.log(u + s))
+    return _piece(y1, y2, t, u, s, value)
+
+
+def _cut(y1, y2, t, u, step):
+    """The s of a log grid whose fixed-s piece of r has the linear model that rises
+    most along ``step``: where the sup is flat in s, the piece the model underrates."""
+    lo = math.log(min(y1, y2, u) or 1e-300) - 4.0
+    grid = [math.exp(lo + (4.0 - lo) * i / 47) for i in range(48)]
+    rise = lambda s: (c := _fixed(y1, y2, t, u, s))[0] + sum(g * p for g, p in zip(c[1], step))  # noqa: E731
+    return max(grid, key=rise)
+
+
+def _eliminate(tab, cols, tol):
+    """Gauss-Jordan elimination in place over the first ``cols`` columns of ``tab``, each
+    row pivoting on its largest entry in a column not yet taken; a row whose largest is
+    at most ``tol`` depends on the earlier ones and is skipped.  Returns {column: row}."""
+    basic = {}
+    for r, row in enumerate(tab):
+        j = max((c for c in range(cols) if c not in basic), key=lambda c: abs(row[c]), default=None)
+        if j is None or abs(row[j]) <= tol:
             continue
-        grad_y += [-0.5 / (y1 + s), -0.5 / (y2 + s)]
-        # d/dt r = s / (e^{-2t} + s): 0 at s = 0 even where e^{-2t} underflows.
-        grad_t.append(s / (e + s) if s > 0.0 else 0.0)
-    return value, np.array(grad_y + grad_t)
+        row = tab[r] = [x / row[j] for x in row]
+        for other in tab:
+            if other is not row and other[j]:
+                other[:] = [x - other[j] * y for x, y in zip(other, row)]
+        basic[j] = r
+    return basic
+
+
+def _eqp(hess, rows, work):
+    """Minimiser of tau_1 + tau_2 + v'Hv/2 subject to a.v = b on the rows in ``work``:
+    elimination of those rows, then the reduced Newton system on their null space.
+    Returns v, its multipliers, and ``work`` less the rows that depend on earlier
+    ones.  H is block diagonal: ``hess`` holds each encoder's 3 x 3 block."""
+    m = len(work)
+    tab = [[0.0] * _NV + [rows[i][0]] + [float(r == c) for c in range(m)] for r, i in enumerate(work)]
+    for row, i in zip(tab, work):  # a, then b, then the identity that records the row operations
+        for j, c in rows[i][1]:
+            row[j] = c
+    basic = _eliminate(tab, _NV, 1e-9)  # pivot column -> its row of tab
+
+    def grad(v):  # H v, then the gradient of tau_1 + tau_2
+        return [h0 * v[i] + h1 * v[i + 1] + h2 * v[i + 2] for i, block in ((0, hess[0]), (3, hess[1]))
+                for h0, h1, h2 in block]
+
+    free = [c for c in range(_NV) if c not in basic]
+    null = [[-tab[basic[c]][f] if c in basic else float(c == f) for c in range(_NV)] for f in free]
+    v = [tab[basic[c]][_NV] if c in basic else 0.0 for c in range(_NV)]
+    g = grad(v) + [1.0, 1.0]
+    h_null = [grad(z) for z in null]
+    dot = lambda a, b: sum(x * y for x, y in zip(a, b))  # noqa: E731
+    reduced = [[dot(z, hz) for hz in h_null] + [-dot(z, g)] for z in null]
+    for c, r in _eliminate(reduced, len(null), 0.0).items():
+        v = [a + reduced[r][-1] * b for a, b in zip(v, null[c])]
+    g = grad(v) + [1.0, 1.0]
+    kept = sorted(basic.values())
+    lam = [sum(tab[r][_NV + 1 + i] * g[c] for c, r in basic.items()) for i in kept]
+    return v, lam, [work[r] for r in kept]
+
+
+def _qp(hess, rows, guess):
+    """Minimiser of tau_1 + tau_2 + v'Hv/2 subject to a.v >= b on every row, where
+    v = 0 is feasible and b = 0 marks the rows active there; with its working set and
+    multipliers.  The equality solution on the working set ``guess`` is the answer
+    when feasible with nonnegative multipliers.  Else the primal active-set method
+    (Nocedal & Wright, Alg. 16.3) runs from v = 0 and the guessed rows active there,
+    dropping by Bland's rule; where roundoff would make it cycle, it stops at a
+    feasible v with None for the multipliers."""
+    v, lam, work = _eqp(hess, rows, guess)
+    if min(lam, default=0.0) >= -1e-12 and all(sum(c * v[i] for i, c in nz) >= b - 1e-15 for b, nz in rows):
+        return v, work, lam
+    v, work, added, dropped = [0.0] * _NV, [i for i in guess if rows[i][0] == 0.0], None, None
+    for _ in range(4 * len(rows)):
+        target, lam, work = _eqp(hess, rows, work)
+        if added is not None and added not in work:  # the blocking row depends on the set
+            return v, work, None
+        d = [a - b for a, b in zip(target, v)]
+        size = max(map(abs, d))
+        if size <= 1e-12 * (1.0 + max(map(abs, v))):
+            d, size = [0.0] * _NV, 0.0
+        alpha, added, working = 1.0, None, set(work)
+        for i, (b, nz) in enumerate(rows):
+            if i in working:
+                continue
+            ad = sum(c * d[j] for j, c in nz)
+            if ad < -1e-15 * size:
+                to_row = max(sum(c * v[j] for j, c in nz) - b, 0.0) / -ad
+                if to_row < alpha or (to_row == alpha and added is not None and i < added):
+                    alpha, added = to_row, i
+        v = [x + alpha * y for x, y in zip(v, d)]
+        if added == dropped is not None and alpha <= 1e-12:  # released and blocked at once
+            return v, work, None
+        if added is not None:
+            work.append(added)
+            continue
+        negative = [r for r, lr in enumerate(lam) if lr < -1e-12]
+        if not negative:
+            return v, work, lam
+        dropped = work.pop(min(negative, key=work.__getitem__))
+    return v, work, None
+
+
+def _row(coefs, b):
+    """The row a.v >= b as (b, the nonzero (i, a_i)), a from ``coefs`` scaled to a largest
+    |a_i| of 1; a b that v = 0 meets within 1e-13, or misses, is 0: active at v = 0."""
+    scale = max(map(abs, coefs.values()))
+    b /= scale
+    return (b if b < -1e-13 else 0.0), tuple((i, c / scale) for i, c in coefs.items() if c)
+
+
+def _minimise(y, t, n, q):
+    """Minimiser of sup_s r_1 + sup_s r_2 over F from a point (y, t) of F, in the
+    scale-free coordinates y = d/n and u = e^{-2t}, in which every constraint of F
+    is linear; ``n`` holds the noise variances and ``q`` the precision gains.
+
+    SQP on relative steps (y, u)(1 + p), each at most 3: each step solves ``_qp`` on
+    the minimax model tau_k >= (a piece of ``_pieces``, linearised), with the exact
+    receiver, box floor, central and y <= 1 rows, and the pieces' Hessians weighted
+    by their multipliers of the step before.  The step is cut back to keep y and u
+    positive, then halved until the sum of sups falls by 1e-4 of the model's
+    decrease.  A full step that fails this, at an encoder whose sup is flat in s to
+    within the step, adds the piece of ``_cut`` to the model, up to 4 times.  The
+    loop ends when the model's decrease is below 1e-14 relative or no halving
+    helps.  Returns (y, t, u)."""
+
+    def moved(alpha):
+        new_y = [yi * (1.0 + alpha * p) for yi, p in zip(y, (step[0], step[1], step[3], step[4]))]
+        new_t = [tk - 0.5 * math.log1p(alpha * p) for tk, p in zip(t, (step[2], step[5]))]
+        new_sup = _sup_points(1.0, ((new_y[0], new_y[1], new_t[0]), (new_y[2], new_y[3], new_t[1])))
+        return new_y, new_t, new_sup, sum(max(r) for _, r, _ in new_sup)
+
+    def piece_row(k, g, gap):  # tau_k - g.p_k >= gap, the piece's value less the sup
+        return _row({3 * k: -g[0], 3 * k + 1: -g[1], 3 * k + 2: -g[2], 6 + k: 1.0}, gap)
+
+    sup = _sup_points(1.0, ((y[0], y[1], t[0]), (y[2], y[3], t[1])))
+    value = sum(max(r) for _, r, _ in sup)
+    weights, guess, cuts = [{}, {}], set(), [[], []]
+    for _ in range(50):
+        u = [e for _, _, e in sup]
+        rows, keys, hess, tops = [], [], [], []
+        for k in (0, 1):
+            pieces = _pieces(y[2 * k], y[2 * k + 1], t[k], sup[k])
+            pieces.update({("cut", s): _fixed(*y[2 * k : 2 * k + 2], t[k], u[k], s) for s in cuts[k]})
+            tops.append(max(pieces, key=lambda key: pieces[key][0]))
+            total = sum(weights[k].get(key, 0.0) for key in pieces)
+            block = [[1e-10 * (i == j) for j in range(3)] for i in range(3)]
+            for key, (r, g, h) in pieces.items():
+                w = weights[k].get(key, 0.0) / total if total > 0.0 else float(key == tops[k])
+                block = [[b + w * x for b, x in zip(brow, hrow)] for brow, hrow in zip(block, h)]
+                rows.append(piece_row(k, g, r - pieces[tops[k]][0]))
+                keys.append((k, key))
+            hess.append(block)
+        for l in (0, 1):  # receiver l: sum_k y_kl p_kl / n_k <= its slack
+            if q[l] > 0.0:
+                rows.append(_row({l: -y[l] / n[0], 3 + l: -y[2 + l] / n[1]},
+                                 q[l] - (1.0 - y[l]) / n[0] - (1.0 - y[2 + l]) / n[1]))
+                keys.append(("receiver", l))
+        for k, l in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            rows.append(_row({3 * k + l: y[2 * k + l], 3 * k + 2: -u[k]}, u[k] - y[2 * k + l]))
+            rows.append(_row({3 * k + l: -y[2 * k + l]}, y[2 * k + l] - 1.0))
+            keys += [("floor", k, l), ("cap", k, l)]
+        if u[0] + u[1] > 0.0:  # else t = inf on both encoders, and the central gain is met
+            slack = q[2] - (1.0 - u[0]) / n[0] - (1.0 - u[1]) / n[1]
+            rows.append(_row({2: -u[0] / n[0], 5: -u[1] / n[1]}, slack))
+            keys.append(("central",))
+        rows += [_row({i: -1.0}, -3.0) for i in range(6)]
+        keys += [("step", i) for i in range(6)]
+        for _ in range(5):
+            # Each encoder's top piece, active at v = 0, pins tau_k from the start.
+            guessed = [keys.index((k, tops[k])) for k in (0, 1)]
+            guessed += [i for i, key in enumerate(keys) if key in guess and i not in guessed]
+            v, work, lam = _qp(hess, rows, guessed)
+            step, slope = v[:6], v[6] + v[7]
+            if not slope < -1e-14 * max(1.0, abs(value)):
+                return y, t, u
+            alpha = min(1.0, 0.99 / max(-min(step), 1e-300))
+            new = moved(alpha)
+            if new[3] < value + 1e-4 * alpha * slope:
+                break
+            added = 0
+            for k in (0, 1):
+                r_vals, p = [r for r in sup[k][1] if r > -math.inf], step[3 * k : 3 * k + 3]
+                if max(r_vals) - min(r_vals) <= sum(map(abs, p)):
+                    s = _cut(y[2 * k], y[2 * k + 1], t[k], u[k], p)
+                    r, g, h = _fixed(y[2 * k], y[2 * k + 1], t[k], u[k], s)
+                    if r - max(r_vals) + sum(gi * pi for gi, pi in zip(g, p)) > v[6 + k] + 1e-13:
+                        rows.append(piece_row(k, g, r - max(r_vals)))
+                        keys.append((k, ("cut", s)))
+                        cuts[k] = cuts[k][-7:] + [s]
+                        added += 1
+            if not added:
+                break
+        while not new[3] < value + 1e-4 * alpha * slope:
+            alpha *= 0.5
+            if alpha < 1e-10:
+                return y, t, u
+            new = moved(alpha)
+        y, t, sup, value = new
+        weights = [{keys[i][1]: lr for i, lr in zip(work, lam or []) if keys[i][0] == k} for k in (0, 1)]
+        guess = {keys[i] for i in work}
+    return y, t, [e for _, _, e in sup]
 
 
 @dataclass(frozen=True)
@@ -338,6 +553,27 @@ class LowerBoundResult:
     sigma_z: tuple[float, float]
 
 
+def _lift_t(n, q, y, u=(1.0, 1.0)):
+    """(t_1, t_2) at y = d/n from e^{-2t} = u, with u capped at the box floors min(y)
+    and then scaled down by one common factor until the central constraint holds."""
+    u = min(u[0], y[0], y[1]), min(u[1], y[2], y[3])
+    room, need = 1.0 / n[0] + 1.0 / n[1] - q[2], u[0] / n[0] + u[1] / n[1]
+    scale = room / need if need > room else 1.0
+    return tuple(-0.5 * math.log(scale * uk) if scale * uk > 0.0 else math.inf for uk in u)
+
+
+def _start(n, q):
+    """The closed-form start (y, t): y_1l at the middle of the range where receiver l's
+    equality holds with y_2l in [0, 1], y_2l on that equality (a 0 becomes 1e-300,
+    keeping t finite), and t from ``_lift_t``.  d0 above the remote-MMSE floor makes
+    the room for the central gain positive, so the start is in F."""
+    n1, n2 = n
+    y11, y12 = (0.5 * (max(0.0, 1.0 - n1 * g) + min(1.0, 1.0 - n1 * g + n1 / n2)) for g in q[:2])
+    y21, y22 = (min(max(1.0 - n2 * (g - (1.0 - y) / n1), 0.0), 1.0) for g, y in zip(q, (y11, y12)))
+    y = [max(v, 1e-300) for v in (y11, y12, y21, y22)]
+    return y, list(_lift_t(n, q, y))
+
+
 def lower_bound(
     model: SourceModel,
     targets: DistortionTriple,
@@ -348,121 +584,36 @@ def lower_bound(
 
     The objective sup_s r_1 + sup_s r_2 is convex in p, and so is the
     admissible set F, whose infimum equals the one over P (``project_to_P``
-    maps F onto P without raising the objective).  SLSQP minimises it over F
-    in the scale-free coordinates (d/n, t), from one closed-form point: (d_11,
-    d_12) at the middle of their range over P, d_21, d_22 on the receiver
-    equalities, and e^{-2t} on the box floor, scaled down by one common factor
-    until the central constraint holds.  On a convex program the start changes
-    only the solver's path.  The solver's point is projected onto P, and
-    ``in_P`` names the branch.  Unless SLSQP exits with status 0 on a point
-    already in P, it reruns once: from the projected point if there is one,
-    else from the start with y <= 1 - 1e-3; the lower projected point is the
-    argmin.  There is no search.
+    maps F onto P without raising the objective).  ``_minimise`` solves it over
+    F in the scale-free coordinates (d/n, e^{-2t}), from the closed-form point
+    of ``_start``; on a convex program the start changes only the solver's
+    path.  The solver's point, y clipped into [0, 1] and t lifted onto F by
+    ``_lift_t``, is projected onto P, and ``in_P`` names the branch.  There is
+    no search and no rerun.
 
     ``grid`` and ``refine`` are accepted and validated but unused; they sized a
     starting scan that the closed-form start replaces.  Raises what
-    ``require_valid_targets`` raises; InfeasibleTargetsError naming d0 when
-    neither run ends on a point that projects; and InvalidParamsError unless
+    ``require_valid_targets`` raises; InfeasibleTargetsError naming d0 when the
+    solver's point does not project onto P; and InvalidParamsError unless
     ``grid`` is an integer >= MIN_GRID and ``refine`` an integer >= 0.
     """
     require_int("grid", grid, MIN_GRID)
     require_int("refine", refine, 0)
     require_valid_targets(model, targets)
-    s2, n1, n2 = model.sigma_s2, model.sigma_n1_2, model.sigma_n2_2
+    s2, n = model.sigma_s2, (model.sigma_n1_2, model.sigma_n2_2)
     # Precision each receiver must gain over the prior: (1 - d_1l/n_1)/n_1
     # + (1 - d_2l/n_2)/n_2 >= q_l, and likewise with e^{-2t} for the central one.
     q = [1.0 / d - 1.0 / s2 for d in (targets.d1, targets.d2, targets.d0)]
-    const = 0.5 * math.log(s2 * s2 / (targets.d1 * targets.d2))
-
-    def lift_t(y11, y12, y21, y22, u1=1.0, u2=1.0):
-        """(t_1, t_2) from e^{-2t} = u, with u capped at the box floors min(y)
-        and then scaled down by one common factor until the central constraint holds."""
-        u = min(u1, y11, y12), min(u2, y21, y22)
-        room, need = 1.0 / n1 + 1.0 / n2 - q[2], u[0] / n1 + u[1] / n2
-        scale = room / need if need > room else 1.0
-        return tuple(-0.5 * math.log(scale * uk) if scale * uk > 0.0 else math.inf for uk in u)
-
-    # The start: y_1l at the middle of the range where receiver l's equality
-    # holds with y_2l in [0, 1], and y_2l on that equality.  d0 above the
-    # remote-MMSE floor makes the room for the central gain positive, so
-    # lift_t puts the start in F.
-    y11, y12 = (0.5 * (max(0.0, 1.0 - n1 * g) + min(1.0, 1.0 - n1 * g + n1 / n2)) for g in q[:2])
-    y21, y22 = (min(max(1.0 - n2 * (g - (1.0 - y) / n1), 0.0), 1.0) for g, y in zip(q, (y11, y12)))
-    x0 = np.array([y11, y12, y21, y22, *lift_t(y11, y12, y21, y22)])
-
-    # Constraints >= 0, each scaled to O(1): the receiver gains over their
-    # targets (linear), the box floors log y + 2t, and the central gain.  A
-    # target that rounds to 1/d = 1/sigma_s2 needs no gain, and y <= 1 meets it.
-    needs_gain = np.array(q[:2]) > 0.0
-    gain = np.array([[1.0 / n1, 0.0, 1.0 / n2, 0.0], [0.0, 1.0 / n1, 0.0, 1.0 / n2]])
-    gain /= np.where(needs_gain, q[:2], 1.0)[:, None]
-    gain0 = np.array([1.0 / n1, 1.0 / n2]) / q[2]
-    pick_2t = 2.0 * np.repeat(np.eye(2), 2, axis=0)  # 2 t_k against each y_kl
-    # Both callbacks fill one array each, which SLSQP copies out after each call;
-    # the Jacobian's constant blocks are set once, and its y-diagonal is a view.
-    con, jac = np.empty(7), np.zeros((7, 6))
-    jac[:2, :4], jac[2:6, 4:] = -gain, pick_2t
-    jac_log_y = np.einsum("ii->i", jac[2:6, :4])
-
-    def con_fun(x: np.ndarray) -> np.ndarray:
-        con[:2] = gain @ (1.0 - x[:4]) - needs_gain
-        con[2:6] = np.log(x[:4]) + pick_2t @ x[4:]
-        con[6] = -np.expm1(-2.0 * x[4:]) @ gain0 - 1.0
-        return con
-
-    def con_jac(x: np.ndarray) -> np.ndarray:
-        jac_log_y[:] = 1.0 / x[:4]
-        jac[6, 4:] = 2.0 * np.exp(-2.0 * x[4:]) * gain0
-        return jac
-
-    constraints = {"type": "ineq", "fun": con_fun, "jac": con_jac}
-
-    def solved(start: np.ndarray) -> tuple[bool, BoundParams | None]:
-        """SLSQP's point from start, y clipped into [0, 1] and t lifted onto F, then
-        projected onto P, and whether SLSQP converged (status 0) on a point already
-        in P.  The point is None when it does not project or SLSQP exits with status
-        4 ("inequality constraints incompatible"), which leaves it on its start."""
-        # y stays off 0, where log y is -inf; the box floor keeps the minimiser above it anyway.
-        result = scipy.optimize.minimize(
-            _sup_r_grad,
-            start,
-            jac=True,
-            method="SLSQP",
-            bounds=[(1e-300, 1.0)] * 4 + [(0.0, None)] * 2,
-            constraints=constraints,
-            options={"maxiter": 200, "ftol": 1e-15},
-        )
-        if result.status == 4:
-            return False, None
-        y = np.clip(result.x[:4], 0.0, 1.0).tolist()
-        u = np.exp(-2.0 * result.x[4:]).tolist()
-        try:
-            p = BoundParams(n1 * y[0], n1 * y[1], n2 * y[2], n2 * y[3], *lift_t(*y, *u))
-            settled = result.status == 0 and in_P(model, targets, p) is not None
-            return settled, project_to_P(model, targets, p)
-        except (DomainError, InvalidParamsError):
-            return False, None
-
-    def sup_terms(p: BoundParams) -> list[tuple[float, float]]:
-        """Each encoder's (argmax, value) of its sup over the channel variance at p."""
-        return [sup_sigma_z(model.noise_var(k), *p.encoder(k)) for k in (1, 2)]
-
-    settled, argmin = solved(x0)
-    if not settled:
-        # Projecting the point of an unconverged run can raise the value, and a
-        # run can stop short of the minimum where the objective is flat in t, so
-        # the rerun starts from the projected point when there is one.
-        if argmin is None:
-            start = np.r_[np.minimum(x0[:4], 1.0 - 1e-3), x0[4:]]
-        else:
-            start = np.array(astuple(argmin)) / [n1, n1, n2, n2, 1.0, 1.0]
-        found = [p for p in (argmin, solved(start)[1]) if p is not None]
-        argmin = min(found, key=lambda p: sum(v for _, v in sup_terms(p)), default=None)
-    if argmin is None:
+    y, t, u = _minimise(*_start(n, q), n, q)
+    y = [min(max(v, 0.0), 1.0) for v in y]
+    try:
+        p = BoundParams(n[0] * y[0], n[0] * y[1], n[1] * y[2], n[1] * y[3], *_lift_t(n, q, y, u))
+        argmin = project_to_P(model, targets, p)
+    except (DomainError, InvalidParamsError):
         raise InfeasibleTargetsError(
-            "neither SLSQP run ends on a point that projects onto the critical manifold",
-            constraint="d0",
-        )
-    (sz1, v1), (sz2, v2) = sup_terms(argmin)
+            "the solver's point does not project onto the critical manifold", constraint="d0"
+        ) from None
+    (sz1, v1), (sz2, v2) = (sup_sigma_z(model.noise_var(k), *argmin.encoder(k)) for k in (1, 2))
+    const = 0.5 * math.log(s2 * s2 / (targets.d1 * targets.d2))
     branch = in_P(model, targets, argmin)
     return LowerBoundResult(value=v1 + v2 + const, argmin=argmin, branch=branch, sigma_z=(sz1, sz2))

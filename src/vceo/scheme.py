@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.optimize
 
 from .errors import (
     InfeasibleTargetsError,
@@ -626,10 +626,14 @@ def _order(sim: list[list[float]], fsim: list[float], head_distinct: bool):
     return [sim[i] for i in order], [fsim[i] for i in order], distinct
 
 
-def _nelder_mead(fun, x0, maxiter, xatol, fatol, **_):
-    """Adaptive Nelder-Mead (Gao & Han 2012) in six coordinates on lists of floats: a
-    ``minimize`` method that repeats scipy 1.17's ``_minimize_neldermead(adaptive=True)``
-    step for step, so every iterate, ``nit`` and ``nfev`` are scipy's.
+_NelderMeadResult = namedtuple("_NelderMeadResult", "x fun nit nfev")
+
+
+def _nelder_mead(fun, x0, maxiter, xatol, fatol):
+    """Adaptive Nelder-Mead (Gao & Han 2012) in six coordinates on lists of floats,
+    from the 1-d array ``x0``: it repeats scipy 1.17's
+    ``_minimize_neldermead(adaptive=True)`` step for step, so every iterate, ``nit``
+    and ``nfev`` are scipy's.
 
     ``fun`` must be deterministic: once a shrink moves no vertex, the run ends with
     the result scipy reaches by repeating that iteration up to ``maxiter``, and
@@ -690,7 +694,7 @@ def _nelder_mead(fun, x0, maxiter, xatol, fatol, **_):
             # y[k] != 0 treats both alike.
             nfev += (n + 2) * (maxiter - nit)
             nit = maxiter
-    return scipy.optimize.OptimizeResult(x=np.array(sim[0]), fun=fsim[0], nit=nit, nfev=nfev)
+    return _NelderMeadResult(np.array(sim[0]), fsim[0], nit, nfev)
 
 
 def optimize_sum_rate(
@@ -709,7 +713,7 @@ def optimize_sum_rate(
     condition, the matching construction) passes it as ``opts.warm_start``.
     Each run follows scipy's adaptive Nelder-Mead bit for bit; a run stuck
     on a shrink that moves no vertex ends early with scipy's result, so the
-    ``nfev`` of each ``minimize`` call counts scipy's evaluations, not the
+    ``nfev`` of each ``_nelder_mead`` run counts scipy's evaluations, not the
     objective calls made.
 
     Raises what ``require_valid_targets`` raises, before any evaluation.
@@ -719,13 +723,8 @@ def optimize_sum_rate(
 
     objective = _penalized_objective(model, targets, PENALTY_WEIGHT)
 
-    def _local(z0: np.ndarray, maxiter: int, xatol: float, fatol: float):
-        return scipy.optimize.minimize(
-            objective,
-            z0,
-            method=_nelder_mead,
-            options={"maxiter": maxiter, "xatol": xatol, "fatol": fatol},
-        )
+    def _local(z0: np.ndarray, maxiter: int, xatol: float, fatol: float) -> _NelderMeadResult:
+        return _nelder_mead(objective, np.atleast_1d(np.asarray(z0)), maxiter, xatol, fatol)
 
     # Phase 1: a cheap pass from every start; phase 2: restart-polish the best few.
     # Nelder-Mead stalls on the penalty kink at the distortion boundary, and a

@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import random
+from dataclasses import astuple
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,7 +36,7 @@ from vceo import (
     sup_sigma_z,
 )
 import vceo.bound
-from vceo.bound import _r, _sup_r_grad, in_F
+from vceo.bound import _lift_t, _r, _start, _sup_points, in_F
 from vceo.scheme import FLOOR_MARGIN
 
 from conftest import (
@@ -94,6 +95,78 @@ def numpy_sup_candidates(n: float, d1, d2, t) -> tuple[list, list]:
     s_vals.append(math.inf)
     r_vals.append(t)
     return s_vals, r_vals
+
+
+def _sup_r_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
+    """sup_s r_1 + sup_s r_2 at x = (y_11, y_12, y_21, y_22, t_1, t_2), with y = d/n,
+    and its Danskin gradient: the gradient of r at the maximising s.  The objective
+    of the SLSQP reference ``slsqp_value``.
+
+    With sigma = s/n, r no longer depends on n, so both encoders are one
+    call of ``_sup_points`` at n = 1.  As under ``np.argmax``, the first
+    largest candidate is the maximiser.
+    """
+    y11, y12, y21, y22, t1, t2 = x.tolist()
+    points = ((y11, y12, t1), (y21, y22, t2))
+    value, grad_y, grad_t = 0.0, [], []
+    for (y1, y2, _), (s_vals, r_vals, e) in zip(points, _sup_points(1.0, points)):
+        k = max(range(4), key=r_vals.__getitem__)
+        s, value = s_vals[k], value + r_vals[k]
+        if not math.isfinite(s):  # the s -> inf limit, r = t
+            grad_y += [0.0, 0.0]
+            grad_t.append(1.0)
+            continue
+        grad_y += [-0.5 / (y1 + s), -0.5 / (y2 + s)]
+        # d/dt r = s / (e^{-2t} + s): 0 at s = 0 even where e^{-2t} underflows.
+        grad_t.append(s / (e + s) if s > 0.0 else 0.0)
+    return value, np.array(grad_y + grad_t)
+
+
+def slsqp_value(model, targets):
+    """The bound's value from SLSQP, the earlier solver and the reference of the
+    plain-float SQP: one run over F in the coordinates (d/n, t) from the same
+    closed-form start, its point projected onto P.  None when SLSQP stops on its
+    start with status 4 or its point does not project."""
+    s2, n = model.sigma_s2, (model.sigma_n1_2, model.sigma_n2_2)
+    q = [1.0 / d - 1.0 / s2 for d in (targets.d1, targets.d2, targets.d0)]
+    # Constraints >= 0, each scaled to O(1): the receiver gains over their targets
+    # (linear), the box floors log y + 2t, and the central gain.
+    needs_gain = np.array(q[:2]) > 0.0
+    gain = np.array([[1.0 / n[0], 0.0, 1.0 / n[1], 0.0], [0.0, 1.0 / n[0], 0.0, 1.0 / n[1]]])
+    gain /= np.where(needs_gain, q[:2], 1.0)[:, None]
+    gain0 = np.array([1.0 / n[0], 1.0 / n[1]]) / q[2]
+    pick_2t = 2.0 * np.repeat(np.eye(2), 2, axis=0)
+
+    def con_fun(x):
+        box = np.log(x[:4]) + pick_2t @ x[4:]
+        return np.r_[gain @ (1.0 - x[:4]) - needs_gain, box, -np.expm1(-2.0 * x[4:]) @ gain0 - 1.0]
+
+    def con_jac(x):
+        central = np.r_[np.zeros(4), 2.0 * np.exp(-2.0 * x[4:]) * gain0]
+        return np.vstack([np.c_[-gain, np.zeros((2, 2))], np.c_[np.diag(1.0 / x[:4]), pick_2t], central])
+
+    y, t = _start(n, q)
+    with np.errstate(all="ignore"):  # SLSQP may try t = inf or y = 0
+        result = scipy.optimize.minimize(
+            _sup_r_grad,
+            np.array(y + t),
+            jac=True,
+            method="SLSQP",
+            bounds=[(1e-300, 1.0)] * 4 + [(0.0, None)] * 2,
+            constraints={"type": "ineq", "fun": con_fun, "jac": con_jac},
+            options={"maxiter": 200, "ftol": 1e-15},
+        )
+    if result.status == 4:
+        return None
+    y = np.clip(result.x[:4], 0.0, 1.0).tolist()
+    u = np.exp(-2.0 * result.x[4:]).tolist()
+    d = (n[0] * y[0], n[0] * y[1], n[1] * y[2], n[1] * y[3])
+    try:
+        p = project_to_P(model, targets, BoundParams(*d, *_lift_t(n, q, y, u)))
+    except (DomainError, InvalidParamsError):
+        return None
+    const = 0.5 * math.log(s2 * s2 / (targets.d1 * targets.d2))
+    return const + sum(sup_sigma_z(model.noise_var(k), *p.encoder(k))[1] for k in (1, 2))
 
 
 def numpy_sup_r_grad(x):
@@ -300,7 +373,7 @@ class TestFloatForm:
         "a_zero": ((1.0 + E) / 2.0, (1.0 + E) / 2.0, 0.3),
         # d1 = n: the discriminant is 0, and -6.6e-17 after roundoff.
         "negative_discriminant": (1.0, 0.89, 0.1),
-        # y at SLSQP's bound and t = 400: the ratio overflows, e^{-2t} underflows.
+        # y at 1e-300 and t = 400: the ratio overflows, e^{-2t} underflows.
         "y_bound_t_400": (1e-300, 1e-300, 400.0),
         # d1 = n, d2 = n e^{-2t}: r(s) = t for every s, so s = 0 ties with the limit.
         "tie": (1.0, float(np.exp(-0.7)), 0.35),
@@ -565,7 +638,7 @@ class TestLowerBound:
         assert in_P(model, targets, lb.argmin) is lb.branch
 
     def test_argmin_meets_the_receivers_in_exact_arithmetic(self):
-        # SLSQP meets its linear receiver constraints only to roundoff, and the
+        # The solver meets its linear receiver constraints only to roundoff, and the
         # float steps of project_to_P leave a receiver short by up to about 1e-13
         # relative; its exact step lowers d_1l so that the argmin lies in F exactly.
         missed = []
@@ -587,55 +660,51 @@ class TestLowerBound:
         assert lb.value <= 0.9466581540514155 * (1.0 + 1e-9)
         assert in_P(model, targets, lb.argmin) is lb.branch
 
-    @pytest.mark.parametrize(
-        "status, failed, rejected, projections",
-        [(4, 0, 0, 1), (4, 1, 0, 1), (4, 0, 1, 2), (4, 0, 2, 2), (4, 2, 0, 0), (8, 1, 0, 2)],
-        ids=["none", "status 4", "first point", "both points", "both status 4", "status 8"],
-    )
-    def test_a_failed_solve_reruns_slsqp_once(
-        self, monkeypatch, status, failed, rejected, projections
-    ):
-        # The first `failed` runs exit with `status`, and the first `rejected`
-        # points do not project.  A status-4 exit is not projected.  A failed run
-        # or a point that does not project reruns SLSQP once, and the lower
-        # projected point wins; when neither run projects, the targets are
-        # reported infeasible.
-        reference = lower_bound(UNIT, CANONICAL).value
-        minimize, project = scipy.optimize.minimize, vceo.bound.project_to_P
-        results, points, projected = [], [], []
+    def test_a_point_that_does_not_project_reports_the_targets_infeasible(self, monkeypatch):
+        # The solver ends on a point of F, which projects; should the projection
+        # fail all the same, the targets are reported infeasible, naming d0,
+        # after one projection and no rerun.
+        points = []
 
-        def counted_minimize(*args, **kwargs):
-            results.append(minimize(*args, **kwargs))
-            if len(results) <= failed:
-                results[-1].status = status
-            return results[-1]
-
-        def counted_project(model, targets, p):
+        def rejecting(model, targets, p):
             points.append(p)
-            if len(points) <= rejected:
-                raise DomainError("rejected for the test")
-            projected.append(project(model, targets, p))
-            return projected[-1]
+            raise DomainError("rejected for the test")
 
-        monkeypatch.setattr(scipy.optimize, "minimize", counted_minimize)
-        monkeypatch.setattr(vceo.bound, "project_to_P", counted_project)
-        if status == 4 and failed + rejected == 2:
-            with pytest.raises(InfeasibleTargetsError, match="neither SLSQP run") as info:
-                lower_bound(UNIT, CANONICAL)
-            assert info.value.constraint == "d0"
-        else:
-            lb = lower_bound(UNIT, CANONICAL)
-            assert in_P(UNIT, CANONICAL, lb.argmin) is lb.branch
-            assert lb.value == pytest.approx(reference, rel=1e-9)
-            const = 0.5 * math.log(1.0 / (CANONICAL.d1 * CANONICAL.d2))
-            values = [
-                const + sum(sup_sigma_z(1.0, *p.encoder(k))[1] for k in (1, 2)) for p in projected
-            ]
-            assert lb.value == min(values)
-        assert (len(results), len(points)) == (1 + (failed + rejected > 0), projections)
+        monkeypatch.setattr(vceo.bound, "project_to_P", rejecting)
+        with pytest.raises(InfeasibleTargetsError, match="does not project") as info:
+            lower_bound(UNIT, CANONICAL)
+        assert info.value.constraint == "d0"
+        assert len(points) == 1 and in_F(UNIT, CANONICAL, points[0])
+
+    def test_a_near_floor_solve_reaches_the_minimum(self):
+        # SLSQP settled on P with status 0 after 15 iterations, at 12.990992205552692,
+        # 1.9e-7 relative above the minimum that a rerun from its point reaches.
+        model = SourceModel(0.04878607681757208, 0.10988342545577368, 27.010716959450214)
+        targets = DistortionTriple(0.04193585552555755, 0.03751153739080048, 0.033743628705721854)
+        lb = lower_bound(model, targets)
+        assert lb.value <= 12.990989674429152 * (1.0 + 1e-9)
+        assert in_P(model, targets, lb.argmin) is lb.branch
+
+    @given(
+        log_vars=st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+        x=st.tuples(*[st.floats(0.0, 1.0)] * 3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_no_higher_than_slsqp_from_the_same_start(self, log_vars, x):
+        # The draws of pool_and_draws: d1, d2 log-uniform on [1.001 floor, 0.999 sigma_s2],
+        # d0 log-uniform on [1.0005 floor, 0.9999 min(d1, d2)].
+        model = SourceModel(*(10.0**v for v in log_vars))
+        floor, s2 = full_mmse(model), model.sigma_s2
+        d1, d2 = (1.001 * floor * (0.999 * s2 / (1.001 * floor)) ** xi for xi in x[:2])
+        d0 = 1.0005 * floor * (0.9999 * min(d1, d2) / (1.0005 * floor)) ** x[2]
+        assume(d0 < min(d1, d2) and max(d1, d2) < s2)  # sigma_s2 within 0.2% of the floor
+        targets = DistortionTriple(d1, d2, d0)
+        reference = slsqp_value(model, targets)
+        assume(reference is not None)
+        assert lower_bound(model, targets).value <= reference * (1.0 + 1e-9)
 
     def test_status_4_start_is_not_the_argmin(self):
-        # SLSQP stops on its start with status 4 here, and taking that start gave
+        # SLSQP stopped on its start with status 4 here, and taking that start gave
         # 2.3397 nats, above the 2.0936 that sum-rate achieves.  The bound's
         # objective at that scheme's marginals, a point of F, is 1.9111646319034041.
         model = SourceModel(0.25644727054911703, 0.022079160962013077, 58.88678724176635)
@@ -656,7 +725,7 @@ class TestLowerBound:
         with pytest.raises(InvalidParamsError, match="refine"):
             lower_bound(UNIT, CANONICAL, refine=refine)
 
-    # Targets with d0 at the remote-MMSE floor: SLSQP steps onto y = d/n = 1e-300.
+    # Targets with d0 at the remote-MMSE floor, where SLSQP stepped onto y = d/n = 1e-300.
     FLOOR_MODEL = SourceModel(1.0, 100.0, 10**0.5)
     FLOOR_TARGETS = DistortionTriple(0.8770095249187023, 0.8155142873780534, 0.7540190498374046)
 
@@ -703,7 +772,7 @@ class TestLowerBound:
     @settings(max_examples=50, deadline=None)
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_d0_a_few_ulps_above_the_margin_gives_a_value_or_infeasible(self, log_vars, ulps, x):
-        # The nearest targets that the rule lets through reach SLSQP: they give
+        # The nearest targets that the rule lets through reach the solver: they give
         # a value or infeasible targets, never another error or a RuntimeWarning.
         model = SourceModel(*(10.0**v for v in log_vars))
         d0 = full_mmse(model) * (1.0 + FLOOR_MARGIN)
@@ -720,7 +789,7 @@ class TestLowerBound:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_d2_one_ulp_below_sigma_s2_solves_with_no_gain_to_scale_by(self):
         # d2 one ulp below sigma_s2, so 1/d2 - 1/sigma_s2 rounds to 0: the receiver
-        # constraint once divided by that gain.  d0 passes the target rule, so SLSQP runs.
+        # constraint once divided by that gain.  d0 passes the target rule, so the solver runs.
         model = SourceModel(10.0**0.5, 10.0, 10.0)
         d0 = math.nextafter(full_mmse(model) * (1.0 + FLOOR_MARGIN), math.inf)
         d1, d2 = d0 * (model.sigma_s2 / d0) ** 0.5, math.nextafter(model.sigma_s2, 0.0)

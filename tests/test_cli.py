@@ -56,6 +56,26 @@ def child_env(**extra):
     return dict(os.environ, PYTHONPATH=os.pathsep.join(paths), **extra)
 
 
+RUN_IN_CHILD = """
+import contextlib, io, json, sys
+import vceo, vceo.cli
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runs.append((vceo.cli.main(argv), out.getvalue()))
+print(json.dumps({"runs": runs, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def run_in_child(argvs, **env):
+    """Exit codes and standard outputs of ``vceo.cli.main`` on each argv, run one
+    after another in a fresh interpreter, and the scipy modules it loaded."""
+    argv = [sys.executable, "-c", RUN_IN_CHILD, json.dumps(argvs)]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=child_env(**env), check=True)
+    return json.loads(proc.stdout)
+
+
 class TestInstanceParsing:
     def test_round_trip_is_canonical(self):
         spec = parse_instance(json.dumps(CANONICAL_DOC))
@@ -200,9 +220,11 @@ class TestLowerBoundCommand:
         assert all(part in err for part in TestRemoteMmseFloor.FLOOR_MESSAGE)
 
     def test_value_does_not_depend_on_the_blas_thread_count(self, tmp_path):
-        # Under two BLAS threads SLSQP stops on its start with status 4, and
-        # the value read from there was 3.7% high; under one it converges.
-        doc = {
+        # The whole JSON output, exactly.  Under two BLAS threads SLSQP stopped on its
+        # start with status 4 on the first instance, and the value read from there
+        # was 3.7% high; on the second, inside the condition, its argmin moved, and
+        # with it every output of the three commands.
+        outside = {
             "model": {
                 "sigma_s2": 5.663602538571031,
                 "sigma_n1_2": 0.11279823080889358,
@@ -214,14 +236,32 @@ class TestLowerBoundCommand:
                 "d0": 0.13581970117415154,
             },
         }
-        argv = [sys.executable, "-m", "vceo", "lower-bound", "--output", "json", "--instance"]
-        argv.append(write_instance(tmp_path, doc))
-        values = []
-        for threads in ("1", "2"):
-            env = child_env(OPENBLAS_NUM_THREADS=threads)
-            proc = subprocess.run(argv, capture_output=True, text=True, env=env, check=True)
-            values.append(json.loads(proc.stdout)["lower_bound"])
-        assert values[1] == pytest.approx(values[0], rel=1e-9)
+        inside = {
+            "model": {
+                "sigma_s2": 1.7366423333733307,
+                "sigma_n1_2": 2.633000774894365,
+                "sigma_n2_2": 3.05582084550693,
+            },
+            "targets": {
+                "d1": 0.9030228393855092,
+                "d2": 0.9911818176283645,
+                "d0": 0.8649028172733694,
+            },
+        }
+        runs = [["lower-bound", write_instance(tmp_path, outside, "outside.json")]]
+        runs += [[command, write_instance(tmp_path, inside)] for command in ("lower-bound", "verify", "sum-rate")]
+        argvs = [[command, "--instance", path, "--output", "json"] for command, path in runs]
+        outputs = [run_in_child(argvs, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2")]
+        assert all(code == EXIT_OK for code, _ in outputs[0]["runs"])
+        assert outputs[1]["runs"] == outputs[0]["runs"]
+
+    def test_no_command_loads_scipy(self, canonical):
+        # scipy took about 0.35 s of every command's start-up, for the bound's solver.
+        argvs = [[command, "--instance", canonical] for command in ("verify", "lower-bound", "sum-rate")]
+        argvs.append(["mc-check", "--instance", canonical, "--n", "1000"])
+        result = run_in_child(argvs)
+        assert [code for code, _ in result["runs"]] == [EXIT_OK] * 4
+        assert result["scipy"] == []
 
     def test_tol_flag_is_checked_and_unused(self, canonical, capsys):
         # The bound runs no optimizer, so --tol leaves its output alone.

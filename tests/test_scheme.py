@@ -515,20 +515,20 @@ class TestOptimizeSumRate:
         # The rates perfbench/reference.json stores for unit_outside and
         # asym_noise_out, which the benchmark checks to 1e-6, and the objective
         # evaluations it stores with them (nm_nfev), summed over every
-        # minimize call as the benchmark's tracer counts them.  The
+        # Nelder-Mead run.  The
         # Nelder-Mead path (decoders, starts, distortions, feasibility
         # restoration, the simplex steps) must not change until that file is
         # rebuilt: taking central_distortion's e^{-2t'} from the rational
         # form, a 1-ulp change, moves asym_noise_out past 1e-9.
         counts = []
-        minimize = scipy.optimize.minimize
+        nelder_mead = vceo.scheme._nelder_mead
 
-        def counting(*args, **kwargs):
-            res = minimize(*args, **kwargs)
+        def counting(*args):
+            res = nelder_mead(*args)
             counts.append(res.nfev)
             return res
 
-        monkeypatch.setattr(scipy.optimize, "minimize", counting)
+        monkeypatch.setattr(vceo.scheme, "_nelder_mead", counting)
         res = optimize_sum_rate(SourceModel(*model), DistortionTriple(*targets))
         assert res.breakdown.sum_rate == pytest.approx(rate, rel=1e-9)
         assert sum(counts) == nfev
@@ -553,7 +553,7 @@ class TestNelderMead:
 
     @staticmethod
     def assert_same_run(objective, z0, options):
-        mine = scipy.optimize.minimize(objective, z0, method=_nelder_mead, options=options)
+        mine = _nelder_mead(objective, z0, **options)
         ref = scipy.optimize.minimize(
             objective, z0, method="Nelder-Mead", options={**options, "adaptive": True}
         )
@@ -583,16 +583,17 @@ class TestNelderMead:
         # maxiter.  _nelder_mead stops evaluating but reports scipy's result.
         model, targets = SourceModel(1.0, 0.3, 3.0), DistortionTriple(0.5, 0.3, 0.25)
         runs = []
-        minimize = scipy.optimize.minimize
+        nelder_mead = vceo.scheme._nelder_mead
 
-        def recording(fun, x0, **kwargs):
+        def recording(fun, x0, maxiter, xatol, fatol):
             calls = []
-            res = minimize(lambda z: calls.append(1) or fun(z), x0, **kwargs)
-            runs.append((np.array(x0), kwargs["options"], len(calls), res.nfev))
+            res = nelder_mead(lambda z: calls.append(1) or fun(z), x0, maxiter, xatol, fatol)
+            options = {"maxiter": maxiter, "xatol": xatol, "fatol": fatol}
+            runs.append((np.array(x0), options, len(calls), res.nfev))
             return res
 
         with monkeypatch.context() as m:
-            m.setattr(scipy.optimize, "minimize", recording)
+            m.setattr(vceo.scheme, "_nelder_mead", recording)
             optimize_sum_rate(model, targets)
         # A skipped run called the objective fewer times than its nfev.
         stuck = [(z0, options) for z0, options, calls, nfev in runs if calls < nfev]
@@ -611,7 +612,7 @@ class TestNelderMead:
         argsort, calls = np.argsort, []
         with monkeypatch.context() as m:
             m.setattr(np, "argsort", lambda a: calls.append(1) or argsort(a))
-            scipy.optimize.minimize(objective, z0, method=_nelder_mead, options=self.PHASE1)
+            _nelder_mead(objective, z0, **self.PHASE1)
         assert calls
         self.assert_same_run(objective, z0, self.PHASE1)
         self.assert_same_run(lambda z: 1.0, z0, self.PHASE1)
