@@ -36,7 +36,19 @@ from vceo import (
     sup_sigma_z,
 )
 import vceo.bound
-from vceo.bound import _lift_t, _r, _start, _sup_points, in_F
+from vceo.bound import (
+    _eliminate,
+    _eqp,
+    _fixed,
+    _lift_t,
+    _pieces,
+    _qp,
+    _r,
+    _row,
+    _start,
+    _sup_points,
+    in_F,
+)
 from vceo.scheme import FLOOR_MARGIN
 
 from conftest import (
@@ -542,6 +554,120 @@ class TestProjectToP:
     def test_rejects_points_outside_f(self):
         with pytest.raises(DomainError):
             project_to_P(UNIT, CANONICAL, BoundParams(0.9, 0.9, 0.9, 0.9, 0.1, 0.1))
+
+
+def relative_derivatives(f, y1, y2, u, h=1e-4):
+    """Central-difference gradient and Hessian of f(y1, y2, u) in the relative step
+    (y1, y2, u)(1 + p), at p = 0."""
+    at = lambda p: f(y1 * (1.0 + p[0]), y2 * (1.0 + p[1]), u * (1.0 + p[2]))  # noqa: E731
+    e = [[h * (i == j) for j in range(3)] for i in range(3)]
+    add = lambda a, b, c: [x + c * y for x, y in zip(a, b)]  # noqa: E731
+    grad = [(at(e[i]) - at(add([0.0] * 3, e[i], -1.0))) / (2.0 * h) for i in range(3)]
+    hess = [
+        [
+            (at(add(e[i], e[j], 1.0)) - at(add(e[i], e[j], -1.0))
+             - at(add(e[j], e[i], -1.0)) + at(add([0.0] * 3, add(e[i], e[j], 1.0), -1.0)))
+            / (4.0 * h * h)
+            for j in range(3)
+        ]
+        for i in range(3)
+    ]
+    return grad, hess
+
+
+class TestSolverSteps:
+    """The pieces of the sup, the QP rows, and the active-set QP of ``_minimise``."""
+
+    # Encoder 1's pieces have gradient G1 and Hessian H1, encoder 2's G2 and the identity.
+    G1, G2 = (-1.0, 0.5, -2.0), (0.25, -0.5, 0.0)
+    HESS = [[[2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 4.0]],
+            [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]]
+    # The minimiser of g.p + p'Hp/2 on each block, -H^{-1} g, and then tau_k = g.p.
+    NEWTON = [0.5, -0.5, 0.5, -0.25, 0.5, 0.0, -1.75, -0.3125]
+
+    @classmethod
+    def piece_rows(cls):  # tau_k >= G_k . p_k
+        return [_row({3 * k + i: -g for i, g in enumerate(gk)} | {6 + k: 1.0}, 0.0)
+                for k, gk in enumerate((cls.G1, cls.G2))]
+
+    @pytest.mark.parametrize("s", [1e-3, 0.3, 5.0])
+    def test_fixed_piece_matches_central_differences(self, s):
+        y1, y2, u = 0.4, 0.7, 0.2
+        value, grad, hess = _fixed(y1, y2, -0.5 * math.log(u), u, s)
+        f = lambda a, b, c: _fixed(a, b, -0.5 * math.log(c), c, s)[0]  # noqa: E731
+        ref_grad, ref_hess = relative_derivatives(f, y1, y2, u)
+        assert value == pytest.approx(r_fn(1.0, y1, y2, -0.5 * math.log(u), s), abs=1e-14)
+        assert grad == pytest.approx(ref_grad, abs=1e-8)
+        for row, ref_row in zip(hess, ref_hess):
+            assert row == pytest.approx(ref_row, abs=1e-5)
+
+    def test_interior_maximum_piece_is_the_curvature_of_the_sup(self):
+        # Where an interior local maximum in s is the sup by a margin, the sup is
+        # smooth and the coupled piece holds its exact gradient and Hessian.
+        rng, checked = random.Random(0), 0
+        while checked < 5:
+            y1, y2 = rng.uniform(0.01, 1.0), rng.uniform(0.01, 1.0)
+            u = rng.uniform(1e-3, min(y1, y2))
+            [sup] = _sup_points(1.0, [(y1, y2, -0.5 * math.log(u))])
+            pieces = _pieces(y1, y2, -0.5 * math.log(u), sup)
+            others = [v[0] for key, v in pieces.items() if key != "root"]
+            if "root" not in pieces or pieces["root"][0] < max(others) + 1e-3:
+                continue
+            sup_r = lambda a, b, c: max(_sup_points(1.0, [(a, b, -0.5 * math.log(c))])[0][1])  # noqa: E731
+            value, grad, hess = pieces["root"]
+            ref_grad, ref_hess = relative_derivatives(sup_r, y1, y2, u)
+            assert value == max(sup[1])
+            assert grad == pytest.approx(ref_grad, abs=1e-7)
+            for row, ref_row in zip(hess, ref_hess):
+                assert row == pytest.approx(ref_row, abs=1e-5)
+            checked += 1
+
+    def test_row_is_scaled_to_a_unit_coefficient_and_a_roundoff_slack_is_active(self):
+        assert _row({0: 2.0, 3: -4.0, 5: 0.0}, -1.0) == (-0.25, ((0, 0.5), (3, -1.0)))
+        assert _row({0: 2.0}, 1e-14) == (0.0, ((0, 1.0),))
+        assert _row({0: 2.0}, -1e-12) == (-5e-13, ((0, 1.0),))
+
+    def test_eliminate_skips_a_dependent_row(self):
+        tab = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]]
+        assert _eliminate(tab, 2, 1e-9) == {1: 0, 0: 2}
+        assert tab[0][:2] == [0.0, 1.0] and tab[0][2] == 1.0  # x2 = 1
+        assert tab[2][:2] == [1.0, 0.0] and tab[2][2] == 1.0  # x1 = 3 - 2 x2
+        assert tab[1] == [0.0, 0.0, 0.0]
+
+    def test_eqp_drops_a_repeated_row(self):
+        rows = self.piece_rows()
+        v, lam, work = _eqp(self.HESS, rows + [rows[0]], [0, 1, 2])
+        assert work == [0, 1]
+        assert v == pytest.approx(self.NEWTON, abs=1e-15)
+        assert lam == pytest.approx([2.0, 1.0], abs=1e-15)  # row 0 is G1's row over max|G1| = 2
+
+    def test_qp_with_no_binding_row_takes_the_newton_step(self):
+        rows = self.piece_rows() + [_row({5: 1.0}, -1.0)]
+        v, work, lam = _qp(self.HESS, rows, [0, 1])
+        assert work == [0, 1]
+        assert v == pytest.approx(self.NEWTON, abs=1e-15)
+        assert min(lam) > 0.0
+
+    def test_qp_adds_the_blocking_row_with_its_multiplier(self):
+        # p_11 <= 0.2 cuts the Newton step of 0.5 on encoder 1's first coordinate;
+        # its multiplier is the slope there, -(G1[0] + H1[0][0] 0.2) = 0.6.
+        rows = self.piece_rows() + [_row({0: -1.0}, -0.2)]
+        cold = _qp(self.HESS, rows, [0, 1])
+        v, work, lam = cold
+        assert sorted(work) == [0, 1, 2]
+        assert v == pytest.approx([0.2] + self.NEWTON[1:6] + [-1.45, -0.3125], abs=1e-15)
+        assert lam[work.index(2)] == pytest.approx(0.6, abs=1e-15)
+        # Warm-started from its own working set, the QP returns the same answer.
+        assert _qp(self.HESS, rows, work) == cold
+
+    def test_qp_drops_a_guessed_row_with_a_negative_multiplier(self):
+        # p_12 <= 0 holds at the Newton step, -0.5; held as an equality it would
+        # carry the multiplier -0.5, so the QP releases it.
+        rows = self.piece_rows() + [_row({1: -1.0}, 0.0)]
+        v, work, lam = _qp(self.HESS, rows, [0, 1, 2])
+        assert work == [0, 1]
+        assert v == pytest.approx(self.NEWTON, abs=1e-15)
+        assert min(lam) > 0.0
 
 
 class TestLowerBound:
