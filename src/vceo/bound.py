@@ -257,34 +257,43 @@ def project_to_P(model: SourceModel, targets: DistortionTriple, p: BoundParams) 
     onto the individual equalities or to the n_1 cap, then raise d_21, d_22 to
     the equalities; lower t_1 to central equality, then t_2 likewise, each
     kept at or above its box floor.  The slack is signed, so a receiver that an
-    input inside F's tolerance misses by roundoff is met again by lowering d_1l,
-    and t rises only to its box floor.  A receiver still missed in exact
-    arithmetic after these float steps lowers d_1l by its exact shortfall,
-    rounded toward 0, so the output meets both receivers exactly.  Otherwise d
-    components never decrease, t components never increase, and points already
-    critical return unchanged.
+    input inside F's tolerance misses by roundoff is met again by lowering one
+    d_kl, and t rises only to its box floor.  Lowering d_kl by the shortfall
+    times n_k^2 moves y_kl = d_kl/n_k by the shortfall times n_k, so the d_kl
+    lowered is that of the encoder with the smaller n_k, or of the other if it
+    would fall below 0.  A receiver still missed in exact arithmetic after these
+    float steps lowers that d_kl (d_1l for a receiver the input met) by its
+    exact shortfall, rounded toward 0, so the output meets both receivers
+    exactly.  Otherwise d components never decrease, t components never
+    increase, and points already critical return unchanged.
     """
     if not in_F(model, targets, p):
         raise DomainError("projection input must lie in the admissible set F")
     s2, n1, n2 = model.sigma_s2, model.sigma_n1_2, model.sigma_n2_2
-    exact = [Fraction(v) for v in (s2, n1, n2)]
+    n, exact = (n1, n2), [Fraction(v) for v in (s2, n1, n2)]
     d = [p.d11, p.d12, p.d21, p.d22]  # d_kl at index 2(k - 1) + (l - 1)
+    order = (0, 1) if n1 <= n2 else (1, 0)  # encoder indices, smaller n_k first
     for l, target in enumerate((targets.d1, targets.d2)):
         slack = receiver_precision(s2, n1, n2, d[l], d[l + 2]) - 1.0 / target
-        d[l] = min(d[l] + slack * n1**2, n1)
+        k = 0  # the encoder whose d_kl meets a shortfall
+        if slack < 0.0:
+            k = next((k for k in order if d[2 * k + l] + slack * n[k] ** 2 >= 0.0), 0)
+            d[2 * k + l] += slack * n[k] ** 2
+        else:
+            d[l] = min(d[l] + slack * n1**2, n1)
         slack = receiver_precision(s2, n1, n2, d[l], d[l + 2]) - 1.0 / target
         # Past n2 only by roundoff, which grows with n2/n1; the final in_P check
         # rejects a clamped point that misses the equality.
         d[l + 2] = min(d[l + 2] + max(slack, 0.0) * n2**2, n2)
         precision = receiver_precision(*exact, Fraction(d[l]), Fraction(d[l + 2]))
         if precision < 1 / Fraction(target):
-            lowered = Fraction(d[l]) - (1 / Fraction(target) - precision) * exact[1] ** 2
+            lowered = Fraction(d[2 * k + l]) - (1 / Fraction(target) - precision) * exact[1 + k] ** 2
             below = float(lowered)
-            d[l] = max(0.0, below if below <= lowered else math.nextafter(below, 0.0))
+            d[2 * k + l] = max(0.0, below if below <= lowered else math.nextafter(below, 0.0))
 
     # Lower each t_k toward central equality, stopping at its box floor; t_2
     # only while the central constraint is still slack.
-    n, t = (n1, n2), [p.t1, p.t2]
+    t = [p.t1, p.t2]
     for k in (0, 1):
         u = [math.exp(-2.0 * tk) for tk in t]
         if k == 1 and not central_precision(s2, n1, n2, *u) > 1.0 / targets.d0:

@@ -3,7 +3,9 @@ fit linear MMSE estimators, and compare the empirical distortions against
 every closed-form conditional variance.
 
 Sampling uses a counter-based generator (Philox) keyed by the seed, so the
-sample matrix is bit-reproducible and shardable by counter range.  For
+sample matrix is bit-reproducible.  It is drawn block by block from that one
+stream into the preallocated matrix, and the fit visits it block by block,
+so the sample matrix is the only n-row array the oracle holds.  For
 jointly Gaussian data the least-squares linear predictor is the MMSE
 estimator, so the mean squared residual is an unbiased oracle for the
 analytic conditional variances up to O(k/n) fit bias.
@@ -28,9 +30,10 @@ __all__ = ["JointSamples", "McRow", "McReport", "sample_joint", "empirical_mmse"
 COLLINEARITY_RTOL = 1e-10
 #: Fewest samples a fit takes: the residual's standard error needs two.
 MIN_SAMPLES = 2
-#: Rows per block of the blocked QR in ``_fit``: each block's R factor is at
-#: most 8 x 8, so the stacked factors stay small while a block stays in cache.
-_QR_BLOCK_ROWS = 4096
+#: Rows per block of every pass over the sample matrix: the draw, the blocked
+#: QR and the residual pass of ``_fit``.  Each block's R factor is at most
+#: 8 x 8, so the stacked factors stay small while a block stays in cache.
+_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -75,8 +78,16 @@ def sample_joint(model: SourceModel, params: SchemeParams, n: int, seed: int) ->
     seed = require_int("seed", seed, 0, SEED_LIMIT)
     labels, factor = _law_factor(model, params)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    z = rng.standard_normal((n, len(labels)))
-    return JointSamples(labels=labels, data=z @ factor.T, seed=seed)
+    # Consecutive draws continue one stream, so block by block the normals
+    # are those of one (n, 7) draw, without holding all of them at once.
+    data = np.empty((n, len(labels)))
+    z = np.empty((min(n, _BLOCK_ROWS), len(labels)))
+    for start in range(0, n, _BLOCK_ROWS):
+        rows = data[start : start + _BLOCK_ROWS]
+        block = z[: rows.shape[0]]
+        rng.standard_normal(out=block)
+        np.matmul(block, factor.T, out=rows)
+    return JointSamples(labels=labels, data=data, seed=seed)
 
 
 def _r_factor(data: np.ndarray, columns: list[int]) -> np.ndarray:
@@ -84,11 +95,12 @@ def _r_factor(data: np.ndarray, columns: list[int]) -> np.ndarray:
     block (TSQR): the block R's are stacked and factored once more, so the
     full design is never formed and its condition number is not squared."""
     n, m = data.shape[0], len(columns) + 1
+    design = np.empty((min(n, _BLOCK_ROWS), m))
+    design[:, 0] = 1.0
     factors = []
-    for start in range(0, n, _QR_BLOCK_ROWS):
-        rows = data[start : start + _QR_BLOCK_ROWS]
-        block = np.empty((rows.shape[0], m))
-        block[:, 0] = 1.0
+    for start in range(0, n, _BLOCK_ROWS):
+        rows = data[start : start + _BLOCK_ROWS]
+        block = design[: rows.shape[0]]
         block[:, 1:] = rows[:, columns]
         factors.append(np.linalg.qr(block, mode="r"))
     return np.linalg.qr(np.concatenate(factors), mode="r")
@@ -102,8 +114,11 @@ def _fit(
 
     One R factor of the columns used serves every regression: ``||A c|| =
     ||R c||`` for any combination ``c`` of those columns, so each coefficient
-    vector and its singular values are those of the n-row problem.  All
-    residuals then come from one product with the sample matrix.
+    vector and its singular values are those of the n-row problem, and
+    ``||R[:, t] - design coef||^2 / n`` is the mean squared residual up to
+    roundoff.  One pass over row blocks then sums each regression's squared
+    residuals and their squared deviations from that estimate, the corrected
+    two-pass variance of the squared residuals in one pass.
     """
     if samples.n < MIN_SAMPLES:
         raise InvalidParamsError(f"at least {MIN_SAMPLES} samples are required")
@@ -111,9 +126,12 @@ def _fit(
     used = sorted({c for t, cols in indexed for c in (t, *cols)})
     r = _r_factor(samples.data, used)
     r_col = {c: k + 1 for k, c in enumerate(used)}  # sample column -> R column
-    # Residual j is weights[j] . row - offsets[j] for each sample row.
+    # Residual j is weights[j] . row - offsets[j] for each sample row; shift[j]
+    # is its mean square read off R.
+    n = samples.n
     weights = np.zeros((len(indexed), samples.data.shape[1]))
     offsets = np.empty(len(indexed))
+    shift = np.empty(len(indexed))
     for j, ((t, cols), (_, given)) in enumerate(zip(indexed, regressions)):
         design = r[:, [0] + [r_col[c] for c in cols]]
         coef, _, _, sv = np.linalg.lstsq(design, r[:, r_col[t]], rcond=None)
@@ -125,11 +143,24 @@ def _fit(
         weights[j, t] += 1.0
         np.subtract.at(weights[j], cols, coef[1:])
         offsets[j] = coef[0]
-    residual_sq = weights @ samples.data.T
-    residual_sq -= offsets[:, None]
-    np.square(residual_sq, out=residual_sq)
-    root_n = math.sqrt(samples.n)
-    return [(float(row.mean()), float(row.std(ddof=1) / root_n)) for row in residual_sq]
+        shift[j] = np.sum(np.square(r[:, r_col[t]] - design @ coef)) / n
+    sum_sq = np.zeros(len(indexed))  # sum of residual^2
+    dev_sq = np.zeros(len(indexed))  # sum of (residual^2 - shift)^2
+    buffer = np.empty((len(indexed), min(n, _BLOCK_ROWS)))
+    for start in range(0, n, _BLOCK_ROWS):
+        rows = samples.data[start : start + _BLOCK_ROWS]
+        res = buffer[:, : rows.shape[0]]
+        np.matmul(weights, rows.T, out=res)
+        res -= offsets[:, None]
+        np.square(res, out=res)
+        sum_sq += res.sum(axis=1)
+        res -= shift[:, None]
+        np.square(res, out=res)
+        dev_sq += res.sum(axis=1)
+    # sum (residual^2 - mean)^2 = dev_sq - (sum_sq - n shift)^2 / n, the ddof=1
+    # variance's numerator; roundoff can leave it just below 0 on exact fits.
+    var = np.maximum(dev_sq - np.square(sum_sq - n * shift) / n, 0.0) / (n - 1)
+    return [(float(s / n), math.sqrt(v / n)) for s, v in zip(sum_sq, var)]
 
 
 def empirical_mmse(

@@ -4,7 +4,7 @@ import functools
 import json
 import math
 import random
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -551,6 +551,28 @@ class TestProjectToP:
         assert all(vceo.bound.in_F_k(model.noise_var(k), *out.encoder(k)) for k in (1, 2))
         assert in_P(model, targets, out) is not None
 
+    def test_a_roundoff_miss_is_met_through_the_encoder_with_the_smaller_noise(self):
+        # Both receivers missed by 7.7e-10 in precision (7.7e-13 relative).  Met
+        # through d_1l, y_1l would fall by 7.7e-10 n_1 = 7.7e-6 and lift t_1 off
+        # its 9e-10 to the box floor at 3.85e-6; through d_2l, y_2l falls by 7.7e-13.
+        model = SourceModel(1.0, 1e4, 1e-3)
+        floor = full_mmse(model)
+        targets = DistortionTriple(0.5 * (1 + floor), 0.5 * (1 + floor), floor * (1 + 1e-6))
+        argmin = lower_bound(model, targets).argmin
+        step = 7.7e-10 * model.sigma_n2_2**2
+        p = replace(argmin, d21=argmin.d21 + step, d22=argmin.d22 + step)
+        assert in_F(model, targets, p)
+        out = project_to_P(model, targets, p)
+        for k in (1, 2):
+            noise = model.noise_var(k)
+            for before, after in zip(p.encoder(k)[:2], out.encoder(k)[:2]):
+                assert abs(after - before) / noise <= 1e-12
+
+        def objective(q):
+            return sum(sup_sigma_z(model.noise_var(k), *q.encoder(k))[1] for k in (1, 2))
+
+        assert objective(out) == pytest.approx(objective(p), rel=1e-12, abs=0.0)
+
     def test_rejects_points_outside_f(self):
         with pytest.raises(DomainError):
             project_to_P(UNIT, CANONICAL, BoundParams(0.9, 0.9, 0.9, 0.9, 0.1, 0.1))
@@ -766,7 +788,7 @@ class TestLowerBound:
     def test_argmin_meets_the_receivers_in_exact_arithmetic(self):
         # The solver meets its linear receiver constraints only to roundoff, and the
         # float steps of project_to_P leave a receiver short by up to about 1e-13
-        # relative; its exact step lowers d_1l so that the argmin lies in F exactly.
+        # relative; its exact step lowers a d_kl so that the argmin lies in F exactly.
         missed = []
         for name, model, targets in pool_and_draws():
             p = lower_bound(model, targets).argmin

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from vceo import (
     sample_joint,
 )
 from vceo.gaussmodel import JOINT_LABELS, build_joint_cov
-from vceo.mc import _QR_BLOCK_ROWS, COLLINEARITY_RTOL, _law_factor
+from vceo.mc import _BLOCK_ROWS, COLLINEARITY_RTOL, _law_factor
 
 from conftest import EXTREME_RATIO_SCHEMES, random_model, random_params
 
@@ -54,6 +55,14 @@ class TestSampleJoint:
         prod = u11 * u22
         stderr = prod.std(ddof=1) / np.sqrt(samples.n)
         assert abs(prod.mean() - 1.0) <= 5 * stderr  # Cov(U11, U22) = sigma_s2
+
+    @pytest.mark.parametrize("n", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 5])
+    @pytest.mark.parametrize("params", [PARAMS, SchemeParams(0, 0, 1, 1)])
+    def test_blocked_draw_is_the_one_shot_draw(self, n, params):
+        model = SourceModel(1.0, 0.5, 2.0)
+        z = np.random.Generator(np.random.Philox(key=n)).standard_normal((n, len(JOINT_LABELS)))
+        expected = z @ _law_factor(model, params)[1].T
+        assert np.array_equal(sample_joint(model, params, n, seed=n).data, expected)
 
     def test_singular_w_block_supported(self):
         samples = sample_joint(UNIT, SchemeParams(0, 0, 1, 1), 1000, seed=3)
@@ -181,7 +190,7 @@ class TestSharedFit:
             assert row.stderr == pytest.approx(stderr, rel=1e-12)
 
     @pytest.mark.parametrize(
-        "n", [2, 7, 10, _QR_BLOCK_ROWS - 1, _QR_BLOCK_ROWS + 1, 3 * _QR_BLOCK_ROWS + 5]
+        "n", [2, 7, 10, _BLOCK_ROWS - 1, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 5]
     )
     @pytest.mark.parametrize("params", [PARAMS, SchemeParams(0, 0, 1, 1)])
     def test_matches_dense_lstsq_across_block_boundaries(self, n, params):
@@ -224,6 +233,17 @@ class TestMcReport:
     def test_extreme_variance_ratios_pass(self, n1, params):
         report = mc_report(SourceModel(1.0, n1, 1.0 / n1), params, n=200_000)
         assert report.passed(), [(row.name, row.z_score) for row in report.rows]
+
+    def test_holds_one_sample_matrix(self):
+        n = 200_000
+        mc_report(UNIT, PARAMS, n=1000)  # first-call allocations are not the oracle's
+        tracemalloc.start()
+        try:
+            mc_report(UNIT, PARAMS, n=n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * n * len(JOINT_LABELS) * 8
 
     def test_small_n_keeps_criterion_well_defined(self):
         report = mc_report(UNIT, PARAMS, n=10, seed=1)
