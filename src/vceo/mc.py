@@ -3,17 +3,22 @@ fit linear MMSE estimators, and compare the empirical distortions against
 every closed-form conditional variance.
 
 Sampling uses a counter-based generator (Philox) keyed by the seed, so the
-sample matrix is bit-reproducible.  It is drawn block by block from that one
-stream into the preallocated matrix, and the fit visits it block by block,
-so the sample matrix is the only n-row array the oracle holds.  For
-jointly Gaussian data the least-squares linear predictor is the MMSE
-estimator, so the mean squared residual is an unbiased oracle for the
-analytic conditional variances up to O(k/n) fit bias.
+sample matrix is bit-reproducible.  One pass draws and factors it: the
+calling thread draws the normals block by block from that one stream into
+the preallocated matrix, while a worker thread maps each drawn block through
+the law's factor and takes its R factor, so the QR of ``[1, data]`` is ready
+when the draw ends.  The fit reads every regression off that R and visits the
+matrix once more, block by block, for the residuals; the sample matrix is the
+only n-row array the oracle holds.  For jointly Gaussian data the
+least-squares linear predictor is the MMSE estimator, so the mean squared
+residual is an unbiased oracle for the analytic conditional variances up to
+O(k/n) fit bias.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -30,19 +35,25 @@ __all__ = ["JointSamples", "McRow", "McReport", "sample_joint", "empirical_mmse"
 COLLINEARITY_RTOL = 1e-10
 #: Fewest samples a fit takes: the residual's standard error needs two.
 MIN_SAMPLES = 2
-#: Rows per block of every pass over the sample matrix: the draw, the blocked
-#: QR and the residual pass of ``_fit``.  Each block's R factor is at most
-#: 8 x 8, so the stacked factors stay small while a block stays in cache.
+#: Rows per block of both passes over the sample matrix: the draw with its
+#: blocked QR, and the residual pass of ``_fit``.  Each block's R factor is
+#: at most 8 x 8, so the stacked factors stay small while a block stays in
+#: cache.
 _BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
 class JointSamples:
-    """Sample matrix over the seven joint labels, one row per draw."""
+    """Sample matrix over the seven joint labels, one row per draw, with the R
+    factor of ``[1, data]`` (intercept first, then the labels in order) taken
+    as the matrix was drawn: ``r_factor.T @ r_factor`` is the Gram matrix of
+    ``[1, data]``, and R has ``min(n, 8)`` rows.  Writing to ``data`` would
+    leave R stale."""
 
     labels: tuple[str, ...]
     data: np.ndarray
     seed: int
+    r_factor: np.ndarray
 
     @property
     def n(self) -> int:
@@ -73,37 +84,61 @@ def sample_joint(model: SourceModel, params: SchemeParams, n: int, seed: int) ->
     """Draw ``n`` i.i.d. rows of (S, X1, X2, U11, U12, U21, U22), deterministic
     for a fixed seed.  Each row sums independent components (``_law_factor``),
     so the draw is exact at any variance ratio, samples singular
-    description-noise blocks exactly, and moves continuously with the scheme."""
+    description-noise blocks exactly, and moves continuously with the scheme.
+
+    Drawing and factoring overlap: this thread draws the normals into
+    ``data`` block by block, in order, so the blocks continue one stream and
+    hold the normals of one (n, 7) draw, while one worker thread maps each
+    drawn block through the factor and takes the R of ``[1, block]``.  The
+    block R's are stacked and factored once more (TSQR).  A failure on either
+    side ends both and is raised here once the worker has ended."""
     n = require_int("n", n, 1)
     seed = require_int("seed", seed, 0, SEED_LIMIT)
     labels, factor = _law_factor(model, params)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    # Consecutive draws continue one stream, so block by block the normals
-    # are those of one (n, 7) draw, without holding all of them at once.
     data = np.empty((n, len(labels)))
-    z = np.empty((min(n, _BLOCK_ROWS), len(labels)))
-    for start in range(0, n, _BLOCK_ROWS):
-        rows = data[start : start + _BLOCK_ROWS]
-        block = z[: rows.shape[0]]
-        rng.standard_normal(out=block)
-        np.matmul(block, factor.T, out=rows)
-    return JointSamples(labels=labels, data=data, seed=seed)
-
-
-def _r_factor(data: np.ndarray, columns: list[int]) -> np.ndarray:
-    """R of the QR factorisation of ``[1, data[:, columns]]``, taken block by
-    block (TSQR): the block R's are stacked and factored once more, so the
-    full design is never formed and its condition number is not squared."""
-    n, m = data.shape[0], len(columns) + 1
-    design = np.empty((min(n, _BLOCK_ROWS), m))
-    design[:, 0] = 1.0
+    drawn = threading.Semaphore(0)  # released once per drawn block, and on an early end
+    stop = threading.Event()  # the draw ended early
+    failure: list[BaseException] = []
     factors = []
-    for start in range(0, n, _BLOCK_ROWS):
-        rows = data[start : start + _BLOCK_ROWS]
-        block = design[: rows.shape[0]]
-        block[:, 1:] = rows[:, columns]
-        factors.append(np.linalg.qr(block, mode="r"))
-    return np.linalg.qr(np.concatenate(factors), mode="r")
+
+    # The QR runs on the worker, where it measured about twice as fast: on
+    # the calling thread, glibc's main arena returns LAPACK's per-call
+    # workspace to the OS after each call, and the next call faults it in.
+    def factor_blocks() -> None:
+        design = np.empty((min(n, _BLOCK_ROWS), len(labels) + 1))
+        design[:, 0] = 1.0
+        try:
+            for start in range(0, n, _BLOCK_ROWS):
+                drawn.acquire()
+                if stop.is_set():
+                    return
+                rows = data[start : start + _BLOCK_ROWS]
+                block = design[: rows.shape[0]]
+                np.matmul(rows, factor.T, out=block[:, 1:])
+                rows[...] = block[:, 1:]
+                factors.append(np.linalg.qr(block, mode="r"))
+        except BaseException as exc:  # raised again by the caller below
+            failure.append(exc)
+
+    worker = threading.Thread(target=factor_blocks, name="vceo-mc-factor")
+    worker.start()
+    try:
+        for start in range(0, n, _BLOCK_ROWS):
+            if failure:
+                break
+            rng.standard_normal(out=data[start : start + _BLOCK_ROWS])
+            drawn.release()
+    except BaseException:
+        stop.set()
+        drawn.release()
+        raise
+    finally:
+        worker.join()
+    if failure:
+        raise failure[0]
+    r_factor = np.linalg.qr(np.concatenate(factors), mode="r")
+    return JointSamples(labels=labels, data=data, seed=seed, r_factor=r_factor)
 
 
 def _fit(
@@ -112,8 +147,8 @@ def _fit(
     """(mean squared residual, its standard error) of the least-squares linear
     predictor of each ``(target, given)`` pair, with an intercept.
 
-    One R factor of the columns used serves every regression: ``||A c|| =
-    ||R c||`` for any combination ``c`` of those columns, so each coefficient
+    The R factor of ``[1, data]`` serves every regression: ``||A c|| =
+    ||R c||`` for any combination ``c`` of the columns, so each coefficient
     vector and its singular values are those of the n-row problem, and
     ``||R[:, t] - design coef||^2 / n`` is the mean squared residual up to
     roundoff.  One pass over row blocks then sums each regression's squared
@@ -123,9 +158,7 @@ def _fit(
     if samples.n < MIN_SAMPLES:
         raise InvalidParamsError(f"at least {MIN_SAMPLES} samples are required")
     indexed = [(samples.index(t), [samples.index(g) for g in given]) for t, given in regressions]
-    used = sorted({c for t, cols in indexed for c in (t, *cols)})
-    r = _r_factor(samples.data, used)
-    r_col = {c: k + 1 for k, c in enumerate(used)}  # sample column -> R column
+    r = samples.r_factor  # R column c + 1 is sample column c
     # Residual j is weights[j] . row - offsets[j] for each sample row; shift[j]
     # is its mean square read off R.
     n = samples.n
@@ -133,8 +166,8 @@ def _fit(
     offsets = np.empty(len(indexed))
     shift = np.empty(len(indexed))
     for j, ((t, cols), (_, given)) in enumerate(zip(indexed, regressions)):
-        design = r[:, [0] + [r_col[c] for c in cols]]
-        coef, _, _, sv = np.linalg.lstsq(design, r[:, r_col[t]], rcond=None)
+        design = r[:, [0] + [c + 1 for c in cols]]
+        coef, _, _, sv = np.linalg.lstsq(design, r[:, t + 1], rcond=None)
         if sv[-1] < COLLINEARITY_RTOL * sv[0]:
             raise DegenerateRegressionError(
                 f"conditioning columns {tuple(given)} are collinear "
@@ -143,7 +176,7 @@ def _fit(
         weights[j, t] += 1.0
         np.subtract.at(weights[j], cols, coef[1:])
         offsets[j] = coef[0]
-        shift[j] = np.sum(np.square(r[:, r_col[t]] - design @ coef)) / n
+        shift[j] = np.sum(np.square(r[:, t + 1] - design @ coef)) / n
     sum_sq = np.zeros(len(indexed))  # sum of residual^2
     dev_sq = np.zeros(len(indexed))  # sum of (residual^2 - shift)^2
     buffer = np.empty((len(indexed), min(n, _BLOCK_ROWS)))

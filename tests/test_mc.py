@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -87,6 +90,145 @@ class TestSampleJoint:
     def test_mc_report_rejects_bool_n(self):
         with pytest.raises(InvalidParamsError):
             mc_report(UNIT, PARAMS, n=True)
+
+
+def _call_bounded(fn, timeout=10.0):
+    """Run ``fn()`` on a helper thread and return what it raised (None when it
+    returned), failing the test if it has not ended within ``timeout`` s."""
+    raised = []
+
+    def run():
+        try:
+            fn()
+        except BaseException as exc:
+            raised.append(exc)
+
+    caller = threading.Thread(target=run, daemon=True)
+    caller.start()
+    caller.join(timeout)
+    assert not caller.is_alive(), f"call still running after {timeout} s"
+    return raised[0] if raised else None
+
+
+def _assert_gram_root(samples):
+    """``r_factor.T @ r_factor`` is the Gram matrix of ``[1, data]``, to 1e-12
+    relative of its diagonal."""
+    design = np.column_stack([np.ones(samples.n), samples.data])
+    gram = design.T @ design
+    scale = np.sqrt(np.outer(np.diag(gram), np.diag(gram)))
+    assert np.all(np.abs(samples.r_factor.T @ samples.r_factor - gram) <= 1e-12 * scale)
+
+
+class TestDrawAndFactor:
+    """`sample_joint` factors the drawn blocks on a worker thread while it
+    draws: its R factor must be that of the matrix, and a failure on either
+    side must reach the caller with the worker ended."""
+
+    @pytest.mark.parametrize(
+        "n", [1, 7, 8, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 5]
+    )
+    @pytest.mark.parametrize("params", [PARAMS, SchemeParams(0, 0, 1, 1)])
+    def test_r_factor_reproduces_the_gram_matrix(self, n, params):
+        # R is not unique on the singular scheme, so only R^T R is compared.
+        samples = sample_joint(SourceModel(1.0, 0.5, 2.0), params, n, seed=n)
+        assert samples.r_factor.shape == (min(n, 8), 8)
+        _assert_gram_root(samples)
+
+    def test_concurrent_callers_draw_the_serial_sample(self):
+        # Four callers, each with its worker, on short switch intervals: every
+        # matrix must still be the one-shot draw and every R its Gram root.
+        n = 3 * _BLOCK_ROWS + 5
+        model = SourceModel(1.0, 0.5, 2.0)
+        factor = _law_factor(model, PARAMS)[1]
+        expected = {
+            seed: np.random.Generator(np.random.Philox(key=seed)).standard_normal((n, 7)) @ factor.T
+            for seed in range(4)
+        }
+        results = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def call(seed):
+                results[seed] = sample_joint(model, PARAMS, n, seed)
+
+            callers = [threading.Thread(target=call, args=(seed,)) for seed in expected]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(30.0)
+                assert not caller.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for seed, data in expected.items():
+            assert np.array_equal(results[seed].data, data)
+            _assert_gram_root(results[seed])
+
+    def test_oracle_bits_are_pinned(self):
+        # float.hex of (empirical, stderr) per row from the sequential
+        # draw-then-factor pass, with numpy 2.4's bundled OpenBLAS; another
+        # BLAS build may round the QR differently.
+        expected = [
+            ("delta_1", "0x1.cd5bbada306c6p-2", "0x1.767736bd386fdp-8"),
+            ("delta_2", "0x1.203e1df0848bap-1", "0x1.d5bcd2438f228p-8"),
+            ("delta_0", "0x1.754a45d8c2f2ap-2", "0x1.2fed7061f1794p-8"),
+            ("d'_11", "0x1.3e44a5be4f3fbp-2", "0x1.02737a07821eep-8"),
+            ("d'_12", "0x1.69d3197e8d858p-2", "0x1.28195c68c3e83p-8"),
+            ("d'_21", "0x1.e7101b1b9aefcp-2", "0x1.85d30a5062127p-8"),
+            ("d'_22", "0x1.080b27f8adcd6p+0", "0x1.ae2add23a1efep-7"),
+        ]
+        params = SchemeParams(0.8, 1.3, 0.6, 2.1, 0.4, 0.9)
+        report = mc_report(SourceModel(1.0, 0.5, 2.0), params, n=3 * _BLOCK_ROWS + 5, seed=34)
+        got = [(row.name, row.empirical.hex(), row.stderr.hex()) for row in report.rows]
+        assert got == expected
+
+    def test_normal_run_leaves_no_thread(self):
+        before = threading.active_count()
+        assert _call_bounded(lambda: mc_report(UNIT, PARAMS, n=3 * _BLOCK_ROWS)) is None
+        assert threading.active_count() == before
+
+    @staticmethod
+    def hook_draws(monkeypatch, before_draw):
+        """Make every new Generator call ``before_draw(k)`` before its k-th
+        ``standard_normal``; returns the list that counts the calls."""
+        calls = []
+
+        class Hooked(np.random.Generator):
+            def standard_normal(self, *args, **kwargs):
+                calls.append(None)
+                before_draw(len(calls))
+                return super().standard_normal(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Generator", Hooked)
+        return calls
+
+    def test_draw_failure_reaches_the_caller(self, monkeypatch):
+        def fail_third(k):
+            if k == 3:
+                time.sleep(0.2)  # let the factoring side wait for this block
+                raise RuntimeError("injected draw failure")
+
+        calls = self.hook_draws(monkeypatch, fail_third)
+        before = threading.active_count()
+        raised = _call_bounded(lambda: mc_report(UNIT, PARAMS, n=5 * _BLOCK_ROWS))
+        assert isinstance(raised, RuntimeError) and str(raised) == "injected draw failure"
+        assert len(calls) == 3
+        assert threading.active_count() == before
+
+    def test_factor_failure_reaches_the_caller_and_stops_the_draw(self, monkeypatch):
+        failed = threading.Event()
+
+        def failing_qr(*args, **kwargs):
+            failed.set()
+            raise np.linalg.LinAlgError("injected factor failure")
+
+        calls = self.hook_draws(monkeypatch, lambda k: k == 2 and failed.wait(10))
+        monkeypatch.setattr(np.linalg, "qr", failing_qr)
+        before = threading.active_count()
+        raised = _call_bounded(lambda: mc_report(UNIT, PARAMS, n=40 * _BLOCK_ROWS))
+        assert isinstance(raised, np.linalg.LinAlgError)
+        assert str(raised) == "injected factor failure"
+        assert len(calls) < 40  # the draw stopped early
+        assert threading.active_count() == before
 
 
 def _degenerate_scheme(rng, model, kind):
